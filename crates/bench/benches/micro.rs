@@ -9,7 +9,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use nwc_geom::{MbrSoa, Point, Rect};
-use nwc_store::{BufferPool, IoExecutor, MemStore, PageStore};
+use nwc_store::BufferPool;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -146,39 +146,6 @@ fn mindist_kernel(c: &mut Criterion) {
     g.finish();
 }
 
-/// Submit→complete round trip through the I/O executor: the fixed
-/// overhead a readahead run pays to leave the query thread. Submitting
-/// a no-op job and waiting for idle bounds the queue+wakeup cost; the
-/// read-run variant adds the buffer allocation and MemStore copy.
-fn executor_round_trip(c: &mut Criterion) {
-    let mut g = c.benchmark_group("executor");
-    let exec = IoExecutor::new(1);
-    g.bench_function("submit_complete_noop", |b| {
-        b.iter(|| {
-            exec.submit(Box::new(|| {}));
-            exec.wait_idle();
-        })
-    });
-
-    const RUN_PAGES: usize = 8;
-    let pages: Vec<[u8; nwc_store::PAGE_SIZE]> = (0..64).map(|_| [0u8; nwc_store::PAGE_SIZE]).collect();
-    let store: Arc<dyn PageStore> = Arc::new(MemStore::new(pages, 0, [0; 4]).unwrap());
-    g.bench_function("submit_complete_read_run_8p", |b| {
-        b.iter(|| {
-            exec.submit_read_run(
-                Arc::clone(&store),
-                0,
-                RUN_PAGES,
-                Box::new(|res, _| {
-                    res.unwrap();
-                }),
-            );
-            exec.wait_idle();
-        })
-    });
-    g.finish();
-}
-
 fn fast_config() -> Criterion {
     Criterion::default()
         .without_plots()
@@ -191,6 +158,6 @@ fn fast_config() -> Criterion {
 criterion_group! {
     name = micro;
     config = fast_config();
-    targets = pool_paths, contention, mindist_kernel, executor_round_trip
+    targets = pool_paths, contention, mindist_kernel
 }
 criterion_main!(micro);

@@ -134,7 +134,7 @@ pub fn measure(ctx: &ExperimentContext) -> BufferReport {
     };
     for layout in [PageLayout::BottomUp, PageLayout::Clustered] {
         arena
-            .save_tree_with_layout(path_of(layout), layout)
+            .save_tree_writable_with_layout(path_of(layout), layout)
             .unwrap_or_else(|e| panic!("saving page file: {e}"));
     }
     let pages = arena.tree().to_page_file().page_count();

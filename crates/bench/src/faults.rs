@@ -99,7 +99,7 @@ pub fn measure(ctx: &ExperimentContext) -> FaultsReport {
     let arena = build_index(&ds);
     let path = std::env::temp_dir().join(format!("nwc-faults-{}.pages", std::process::id()));
     arena
-        .save_tree_with_layout(&path, PageLayout::Clustered)
+        .save_tree_writable_with_layout(&path, PageLayout::Clustered)
         .unwrap_or_else(|e| panic!("saving page file: {e}"));
     let pages = arena.tree().to_page_file().page_count();
     drop(arena);

@@ -1,24 +1,18 @@
-//! Kernel + overlapped-I/O sweep (not from the paper).
+//! Kernel + device-latency sweep (not from the paper).
 //!
-//! Two measurements behind this PR's hot-path work, in one report:
+//! Two measurements of the disk query hot path, in one report:
 //!
 //! 1. **Microbench** — ns/rect for the scalar `Rect::mindist` /
 //!    `Rect::intersects` loops vs the batched SoA kernels, plus the
 //!    detected kernel backend and core count. Both sides compute
 //!    bit-identical results (see `tests/kernel_equivalence.rs`); only
 //!    the throughput may differ.
-//! 2. **End-to-end** — NWC* over a saved clustered CA page file behind
-//!    a [`FaultStore`], cold pool per cell, at {no latency, 100 µs per
-//!    physical read} × {sync readahead, overlapped readahead
-//!    (`io_threads = 2`)}. Answers and logical I/O are identical in
-//!    every cell; the sweep isolates wall clock plus the new
-//!    `overlap_us` / `inflight_hits` counters.
-//!
-//! On flat media (the no-latency rows: page cache / MemStore-speed
-//! reads) overlapping buys little or nothing — the physical read is
-//! cheaper than the thread handoff — and the table says so rather than
-//! hiding the rows. The 100 µs rows model real storage, where the
-//! device sleep moves off the query thread.
+//! 2. **End-to-end** — NWC* with readahead over a saved clustered CA
+//!    page file behind a [`FaultStore`], cold pool per cell, at {no
+//!    latency, 100 µs per physical read}. Answers and logical I/O are
+//!    identical in every cell; the sweep isolates what device latency
+//!    adds to wall clock. The no-latency row runs at page-cache speed;
+//!    the 100 µs row models real storage.
 //!
 //! Besides the markdown table, the run writes machine-readable
 //! `results/BENCH_kernels.json`.
@@ -36,9 +30,6 @@ use std::time::{Duration, Instant};
 
 /// Per-read device latencies swept (`None` = the raw device).
 pub const LATENCIES: [Option<Duration>; 2] = [None, Some(Duration::from_micros(100))];
-
-/// I/O thread counts swept (0 = synchronous readahead).
-pub const IO_THREADS: [usize; 2] = [0, 2];
 
 /// Rectangles per microbench pass — one branch-array's worth, sized
 /// like a run of internal fanouts rather than a cache-busting sweep.
@@ -69,13 +60,11 @@ impl KernelMicro {
     }
 }
 
-/// One (latency, io_threads) cell of the end-to-end sweep.
+/// One device-latency cell of the end-to-end sweep.
 #[derive(Clone, Debug)]
-pub struct OverlapPoint {
+pub struct LatencyPoint {
     /// Injected per-read device latency, microseconds (0 = none).
     pub latency_us: u64,
-    /// Completion threads (0 = synchronous readahead).
-    pub io_threads: usize,
     /// Mean logical node accesses per query — invariant across cells.
     pub avg_io: f64,
     /// Mean wall-clock latency per query, microseconds.
@@ -84,12 +73,6 @@ pub struct OverlapPoint {
     pub physical_reads: u64,
     /// Pages read by readahead across the batch.
     pub prefetch_reads: u64,
-    /// Device time spent inside overlapped readahead runs, µs (0 on
-    /// the sync rows — the same time is buried in the query thread).
-    pub overlap_us: u64,
-    /// Demand faults that waited on an in-flight readahead instead of
-    /// re-reading the page.
-    pub inflight_hits: u64,
 }
 
 /// Everything the kernels experiment measured.
@@ -107,8 +90,8 @@ pub struct KernelsReport {
     pub queries: usize,
     /// Microbench results.
     pub micro: KernelMicro,
-    /// End-to-end sweep cells, latency-major then io_threads.
-    pub points: Vec<OverlapPoint>,
+    /// End-to-end sweep cells, one per swept latency.
+    pub points: Vec<LatencyPoint>,
 }
 
 /// Runs the experiment and renders the markdown table; also writes
@@ -202,7 +185,7 @@ pub fn measure(ctx: &ExperimentContext) -> KernelsReport {
     let arena = build_index(&ds);
     let path = std::env::temp_dir().join(format!("nwc-kernels-{}.pages", std::process::id()));
     arena
-        .save_tree_with_layout(&path, PageLayout::Clustered)
+        .save_tree_writable_with_layout(&path, PageLayout::Clustered)
         .unwrap_or_else(|e| panic!("saving page file: {e}"));
     let pages = arena.tree().to_page_file().page_count();
     drop(arena);
@@ -213,53 +196,44 @@ pub fn measure(ctx: &ExperimentContext) -> KernelsReport {
 
     let mut points = Vec::new();
     for &latency in &LATENCIES {
-        for &io_threads in &IO_THREADS {
-            let store = FileStore::open(&path).unwrap_or_else(|e| panic!("opening pages: {e}"));
-            let fault = Arc::new(FaultStore::new(store, FaultPlan::default()));
-            let index = NwcIndex::open_disk_from_store(
-                Box::new(Arc::clone(&fault)),
-                DiskIndexConfig {
-                    // A bounded pool an order smaller than the file, so
-                    // every cell actually reads from the device.
-                    pool_capacity: Some(((pages / 10).max(1)).min(pages)),
-                    prefetch: 16,
-                    pool_shards: Some(1),
-                    io_threads,
-                    ..Default::default()
-                },
-            )
-            .unwrap_or_else(|e| panic!("opening index: {e}"));
-            fault.set_plan(FaultPlan { latency, ..FaultPlan::default() });
-            let storage = index.tree().storage().expect("disk-backed");
+        let store = FileStore::open(&path).unwrap_or_else(|e| panic!("opening pages: {e}"));
+        let fault = Arc::new(FaultStore::new(store, FaultPlan::default()));
+        let index = NwcIndex::open_disk_from_store(
+            Box::new(Arc::clone(&fault)),
+            DiskIndexConfig {
+                // A bounded pool an order smaller than the file, so
+                // every cell actually reads from the device.
+                pool_capacity: Some(((pages / 10).max(1)).min(pages)),
+                prefetch: 16,
+                pool_shards: Some(1),
+                ..Default::default()
+            },
+        )
+        .unwrap_or_else(|e| panic!("opening index: {e}"));
+        fault.set_plan(FaultPlan { latency, ..FaultPlan::default() });
+        let storage = index.tree().storage().expect("disk-backed");
 
-            // Cold pool per cell so each measures the same physical work.
-            storage.reset();
-            index.tree().stats().reset();
-            let mut io_total = 0u64;
-            let mut scratch = QueryScratch::new();
-            let start = Instant::now();
-            for &q in &query_points {
-                let query = NwcQuery::new(q, spec, n);
-                let (_, stats) = index
-                    .try_nwc_full_with(&query, Scheme::NWC_STAR, &mut scratch)
-                    .unwrap_or_else(|e| panic!("query failed: {e}"));
-                io_total += stats.io_total;
-            }
-            let elapsed = start.elapsed();
-            // Let straggler completions land before reading counters.
-            storage.wait_io_idle();
-            let io = index.tree().stats();
-            points.push(OverlapPoint {
-                latency_us: latency.map_or(0, |d| d.as_micros() as u64),
-                io_threads,
-                avg_io: io_total as f64 / query_points.len() as f64,
-                avg_latency_us: elapsed.as_secs_f64() * 1e6 / query_points.len() as f64,
-                physical_reads: storage.pool_stats().misses,
-                prefetch_reads: io.prefetch_reads(),
-                overlap_us: io.overlap_us(),
-                inflight_hits: io.inflight_hits(),
-            });
+        // Cold pool per cell so each measures the same physical work.
+        storage.reset();
+        index.tree().stats().reset();
+        let mut io_total = 0u64;
+        let mut scratch = QueryScratch::new();
+        let start = Instant::now();
+        for &q in &query_points {
+            let query = NwcQuery::new(q, spec, n);
+            let (_, stats) = index
+                .try_nwc_full_with(&query, Scheme::NWC_STAR, &mut scratch)
+                .unwrap_or_else(|e| panic!("query failed: {e}"));
+            io_total += stats.io_total;
         }
+        let elapsed = start.elapsed();
+        points.push(LatencyPoint {
+            latency_us: latency.map_or(0, |d| d.as_micros() as u64),
+            avg_io: io_total as f64 / query_points.len() as f64,
+            avg_latency_us: elapsed.as_secs_f64() * 1e6 / query_points.len() as f64,
+            physical_reads: storage.pool_stats().misses,
+            prefetch_reads: index.tree().stats().prefetch_reads(),
+        });
     }
     std::fs::remove_file(&path).ok();
 
@@ -301,34 +275,28 @@ fn render_markdown(r: &KernelsReport) -> String {
     out.push('\n');
 
     let mut sweep = Table::new(
-        "Overlapped-readahead sweep",
+        "Device-latency sweep",
         format!(
             "NWC* over a {} page file ({} pages, clustered), {} queries, cold pool per cell, \
-             prefetch 16; answers and logical I/O identical in every cell. The no-latency rows \
-             run at page-cache speed, where overlapping cannot win — compare the 100 µs rows",
+             prefetch 16; answers and logical I/O identical in every cell. The no-latency row \
+             runs at page-cache speed",
             r.dataset, r.pages, r.queries
         ),
         vec![
             "device latency",
-            "io threads",
             "avg IO",
             "avg latency (µs)",
             "physical reads",
             "prefetch reads",
-            "overlap (µs)",
-            "inflight hits",
         ],
     );
     for p in &r.points {
         sweep.push_row(vec![
             if p.latency_us == 0 { "none".to_string() } else { format!("{} µs", p.latency_us) },
-            if p.io_threads == 0 { "sync".to_string() } else { p.io_threads.to_string() },
             format!("{:.1}", p.avg_io),
             format!("{:.1}", p.avg_latency_us),
             p.physical_reads.to_string(),
             p.prefetch_reads.to_string(),
-            p.overlap_us.to_string(),
-            p.inflight_hits.to_string(),
         ]);
     }
     out.push_str(&sweep.to_markdown());
@@ -363,17 +331,13 @@ fn render_json(ctx: &ExperimentContext, r: &KernelsReport) -> String {
     s.push_str("  \"sweep\": [\n");
     for (i, p) in r.points.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"latency_us\": {}, \"io_threads\": {}, \"avg_io\": {:.2}, \
-             \"avg_latency_us\": {:.2}, \"physical_reads\": {}, \"prefetch_reads\": {}, \
-             \"overlap_us\": {}, \"inflight_hits\": {}}}{}\n",
+            "    {{\"latency_us\": {}, \"avg_io\": {:.2}, \"avg_latency_us\": {:.2}, \
+             \"physical_reads\": {}, \"prefetch_reads\": {}}}{}\n",
             p.latency_us,
-            p.io_threads,
             p.avg_io,
             p.avg_latency_us,
             p.physical_reads,
             p.prefetch_reads,
-            p.overlap_us,
-            p.inflight_hits,
             if i + 1 == r.points.len() { "" } else { "," },
         ));
     }
@@ -392,24 +356,14 @@ mod tests {
         assert!(matches!(r.backend.as_str(), "avx2" | "portable"));
         assert!(r.cores >= 1);
         assert!(r.micro.mindist_scalar_ns > 0.0 && r.micro.mindist_batched_ns > 0.0);
-        assert_eq!(r.points.len(), LATENCIES.len() * IO_THREADS.len());
+        assert_eq!(r.points.len(), LATENCIES.len());
         // Logical I/O is the paper's metric and must not move with the
-        // physical backend or the device latency.
+        // device latency; neither may the physical work of a cold pool.
         for p in &r.points {
-            assert_eq!(
-                p.avg_io, r.points[0].avg_io,
-                "logical I/O diverged at {} µs / {} threads",
-                p.latency_us, p.io_threads
-            );
-            if p.io_threads == 0 {
-                assert_eq!(p.overlap_us, 0, "sync rows cannot overlap");
-                assert_eq!(p.inflight_hits, 0);
-            } else {
-                assert!(
-                    p.prefetch_reads == 0 || p.overlap_us > 0,
-                    "overlapped readahead ran but recorded no device time"
-                );
-            }
+            let at = p.latency_us;
+            assert_eq!(p.avg_io, r.points[0].avg_io, "logical I/O at {at} µs");
+            assert_eq!(p.physical_reads, r.points[0].physical_reads, "{at} µs");
+            assert_eq!(p.prefetch_reads, r.points[0].prefetch_reads, "{at} µs");
         }
         let json = render_json(&ctx, &r);
         assert!(json.contains("\"experiment\": \"kernels\""));
@@ -417,6 +371,6 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         let md = render_markdown(&r);
         assert!(md.contains("Geometry kernel microbench"));
-        assert!(md.contains("Overlapped-readahead sweep"));
+        assert!(md.contains("Device-latency sweep"));
     }
 }

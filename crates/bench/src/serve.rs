@@ -111,7 +111,7 @@ pub fn measure(ctx: &ExperimentContext) -> ServeReport {
     let arena = build_index(&ds);
     let path = std::env::temp_dir().join(format!("nwc-serve-bench-{}.pages", std::process::id()));
     arena
-        .save_tree_with_layout(&path, PageLayout::Clustered)
+        .save_tree_writable_with_layout(&path, PageLayout::Clustered)
         .unwrap_or_else(|e| panic!("saving page file: {e}"));
     drop(arena);
 

@@ -102,7 +102,7 @@ pub fn measure(ctx: &ExperimentContext) -> ShardReport {
             // so every cell starts on a cold pool.
             let built = ShardedNwcIndex::build(ds.points.clone(), shards_requested);
             let dir = scratch_dir.join(format!("cap{pool_capacity}-k{shards_requested}"));
-            if let Err(e) = built.save_to_dir(&dir) {
+            if let Err(e) = built.save_to_dir_writable(&dir) {
                 eprintln!("[shard] skipping K={shards_requested}: save failed: {e}");
                 continue;
             }

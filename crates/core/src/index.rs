@@ -68,13 +68,6 @@ pub struct DiskIndexConfig {
     /// Exhausting the budget quarantines the page and surfaces a typed
     /// error through the `try_*` query APIs.
     pub retry: RetryPolicy,
-    /// I/O worker threads for overlapped readahead (default 0 =
-    /// readahead stays synchronous on the query thread). With ≥ 1,
-    /// readahead runs are submitted to a completion thread pool and the
-    /// query keeps descending while the device is busy; answers and
-    /// logical I/O are bit-identical either way. No effect when
-    /// [`DiskIndexConfig::prefetch`] is 0.
-    pub io_threads: usize,
 }
 
 impl Default for DiskIndexConfig {
@@ -87,7 +80,6 @@ impl Default for DiskIndexConfig {
             grid_cell_size: Some(25.0),
             build_iwp: true,
             retry: RetryPolicy::default(),
-            io_threads: 0,
         }
     }
 }
@@ -114,7 +106,6 @@ impl DiskIndexConfig {
             pool_shards: self.pool_shards,
             prefetch: self.prefetch,
             retry: self.retry,
-            io_threads: self.io_threads,
         }
     }
 }
@@ -157,8 +148,8 @@ impl From<DiskError> for IndexOpenError {
 #[derive(Debug, PartialEq, Eq)]
 pub enum IndexUpdateError {
     /// The index is disk-backed over a store with no write path (a
-    /// version-1 page file, a read-only backend, or a file opened
-    /// without write permission). Save a writable file with
+    /// read-only backend, or a page file opened without write
+    /// permission). Save a writable file with
     /// [`NwcIndex::save_tree_writable`] and reopen it to mutate on
     /// disk, or rebuild in memory. The index is unchanged.
     ReadOnly,
@@ -303,28 +294,9 @@ impl NwcIndex {
     }
 
     /// Saves the R\*-tree to an on-disk page file (see
-    /// [`RStarTree::save_to_path`]). The density grid and IWP
+    /// [`RStarTree::save_to_path_writable`]). The density grid and IWP
     /// augmentation are derived structures and are rebuilt at open.
-    pub fn save_tree(&self, path: impl AsRef<Path>) -> Result<(), DiskError> {
-        self.tree.save_to_path(path)
-    }
-
-    /// As [`NwcIndex::save_tree`], assigning page ids according to
-    /// `layout` (see [`PageLayout`]). [`PageLayout::Clustered`] places
-    /// sibling leaves on consecutive pages so the readahead of
-    /// [`DiskIndexConfig::prefetch`] coalesces into fewer, longer
-    /// vectored reads. Answers and logical I/O are identical under
-    /// every layout.
-    pub fn save_tree_with_layout(
-        &self,
-        path: impl AsRef<Path>,
-        layout: PageLayout,
-    ) -> Result<(), DiskError> {
-        self.tree.save_to_path_with_layout(path, layout)
-    }
-
-    /// As [`NwcIndex::save_tree`], but writes a *writable* (v2) page
-    /// file: reopened with [`NwcIndex::open_disk`], the index accepts
+    /// Reopened with [`NwcIndex::open_disk`], the index accepts
     /// [`NwcIndex::insert`] / [`NwcIndex::remove`], with durability
     /// through [`NwcIndex::commit`]'s copy-on-write shadow paging (see
     /// [`nwc_rtree::disk`], "Writable mode").
@@ -334,6 +306,10 @@ impl NwcIndex {
 
     /// As [`NwcIndex::save_tree_writable`], assigning page ids
     /// according to `layout` (see [`PageLayout`]).
+    /// [`PageLayout::Clustered`] places sibling leaves on consecutive
+    /// pages so the readahead of [`DiskIndexConfig::prefetch`]
+    /// coalesces into fewer, longer vectored reads. Answers and logical
+    /// I/O are identical under every layout.
     pub fn save_tree_writable_with_layout(
         &self,
         path: impl AsRef<Path>,
@@ -342,16 +318,17 @@ impl NwcIndex {
         self.tree.save_to_path_writable_with_layout(path, layout)
     }
 
-    /// Opens a page file written by [`NwcIndex::save_tree`] as a
-    /// disk-backed index: node accesses fault pages in through a buffer
-    /// pool (misses are physical, checksum-verified page reads; the
-    /// pool capacity — possibly tightened by
+    /// Opens a page file written by [`NwcIndex::save_tree_writable`]
+    /// as a disk-backed index: node accesses fault pages in through a
+    /// buffer pool (misses are physical, checksum-verified page reads;
+    /// the pool capacity — possibly tightened by
     /// [`DiskIndexConfig::memory_budget_bytes`] — bounds the resident
-    /// decoded nodes). A file written by [`NwcIndex::save_tree`] opens
-    /// read-only — [`NwcIndex::insert`] / [`NwcIndex::remove`] return
-    /// [`IndexUpdateError::ReadOnly`] — while one written by
-    /// [`NwcIndex::save_tree_writable`] accepts updates, committed
-    /// durably through [`NwcIndex::commit`].
+    /// decoded nodes). The index accepts updates, committed durably
+    /// through [`NwcIndex::commit`]; where the filesystem denies write
+    /// access the file opens read-only and [`NwcIndex::insert`] /
+    /// [`NwcIndex::remove`] return [`IndexUpdateError::ReadOnly`]. A
+    /// page file of another format version (such as one written by an
+    /// older build) is rejected with a typed [`IndexOpenError::Disk`].
     ///
     /// The point table, bounds, density grid and IWP augmentation are
     /// reconstructed from the stored tree; none of that setup work is

@@ -38,10 +38,6 @@ pub struct IoCounters {
     pub prefetch_errors: u64,
     /// Readahead batches issued by the storage layer.
     pub prefetch_batches: u64,
-    /// Demand faults that waited on an in-flight overlapped read.
-    pub inflight_hits: u64,
-    /// Microseconds of device time overlapped with query work.
-    pub overlap_us: u64,
     /// Re-attempted page reads.
     pub retries: u64,
     /// Failed-then-recovered read attempts.
@@ -86,8 +82,6 @@ impl IoCounters {
         self.prefetch_hits += other.prefetch_hits;
         self.prefetch_errors += other.prefetch_errors;
         self.prefetch_batches += other.prefetch_batches;
-        self.inflight_hits += other.inflight_hits;
-        self.overlap_us += other.overlap_us;
         self.retries += other.retries;
         self.transient_errors += other.transient_errors;
         self.quarantined_pages += other.quarantined_pages;
@@ -108,8 +102,6 @@ impl MetricsSnapshot {
             prefetch_reads: io.prefetch_reads(),
             prefetch_hits: io.prefetch_hits(),
             prefetch_errors: io.prefetch_errors(),
-            inflight_hits: io.inflight_hits(),
-            overlap_us: io.overlap_us(),
             retries: io.retries(),
             transient_errors: io.transient_errors(),
             quarantined_pages: io.quarantined_pages(),
@@ -201,8 +193,6 @@ impl MetricsSnapshot {
         f("io_prefetch_hits", io.prefetch_hits);
         f("io_prefetch_errors", io.prefetch_errors);
         f("io_prefetch_batches", io.prefetch_batches);
-        f("io_inflight_hits", io.inflight_hits);
-        f("io_overlap_us", io.overlap_us);
         f("io_retries", io.retries);
         f("io_transient_errors", io.transient_errors);
         f("io_quarantined_pages", io.quarantined_pages);

@@ -1023,37 +1023,20 @@ impl ShardedNwcIndex {
     // Persistence: per-shard page files under one directory manifest.
     // ------------------------------------------------------------------
 
-    /// Saves every shard tree as a read-only page file under `dir`
-    /// (created if needed), plus a `MANIFEST` naming them. Reopen with
-    /// [`ShardedNwcIndex::open_dir`].
-    pub fn save_to_dir(&self, dir: impl AsRef<Path>) -> Result<(), ShardedStoreError> {
-        self.save_dir_impl(dir.as_ref(), false)
-    }
-
-    /// As [`ShardedNwcIndex::save_to_dir`], writing *writable* (v2)
-    /// page files: the reopened index accepts
+    /// Saves every shard tree as a page file under `dir` (created if
+    /// needed), plus a `MANIFEST` naming them. Reopen with
+    /// [`ShardedNwcIndex::open_dir`]: the reopened index accepts
     /// [`ShardedNwcIndex::insert`] / [`ShardedNwcIndex::remove`], made
     /// durable per shard by [`ShardedNwcIndex::commit_all`].
     pub fn save_to_dir_writable(&self, dir: impl AsRef<Path>) -> Result<(), ShardedStoreError> {
-        self.save_dir_impl(dir.as_ref(), true)
-    }
-
-    fn save_dir_impl(&self, dir: &Path, writable: bool) -> Result<(), ShardedStoreError> {
+        let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        let mut manifest = format!(
-            "nwc-sharded v1\nshards {}\nwritable {}\n",
-            self.shards.len(),
-            u8::from(writable)
-        );
+        let mut manifest = format!("nwc-sharded v1\nshards {}\n", self.shards.len());
         for (i, shard) in self.shards.iter().enumerate() {
             let name = shard_file_name(i);
-            let path = dir.join(&name);
-            let saved = if writable {
-                shard.save_tree_writable(&path)
-            } else {
-                shard.save_tree(&path)
-            };
-            saved.map_err(|error| ShardedStoreError::Save { shard: i, error })?;
+            shard
+                .save_tree_writable(dir.join(&name))
+                .map_err(|error| ShardedStoreError::Save { shard: i, error })?;
             manifest.push_str(&format!("shard {i} {name}\n"));
         }
         // Manifest last, via rename, so a torn save never yields a
@@ -1064,8 +1047,9 @@ impl ShardedNwcIndex {
         Ok(())
     }
 
-    /// Opens a directory written by [`ShardedNwcIndex::save_to_dir`]
-    /// (or `_writable`). `config` applies per shard, except the pool
+    /// Opens a directory written by
+    /// [`ShardedNwcIndex::save_to_dir_writable`]. `config` applies per
+    /// shard, except the pool
     /// budget: [`DiskIndexConfig::pool_capacity`] /
     /// [`DiskIndexConfig::memory_budget_bytes`] describe the **total**
     /// across all shards, split monotonically with
@@ -1276,7 +1260,8 @@ fn read_manifest(dir: &Path) -> Result<Vec<PathBuf>, ShardedStoreError> {
                     }
                 }
             }
-            // Unknown keys (e.g. `writable`) are informational.
+            // Unknown keys (e.g. the `writable` line older builds
+            // wrote) are informational.
             _ => {}
         }
     }
@@ -1762,7 +1747,7 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let idx = ShardedNwcIndex::build(world(300), 3);
-        idx.save_to_dir(&dir).unwrap();
+        idx.save_to_dir_writable(&dir).unwrap();
         let files = read_manifest(&dir).unwrap();
         assert_eq!(files.len(), idx.shard_count());
         // Corrupt: header

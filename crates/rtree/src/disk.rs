@@ -1,11 +1,11 @@
 //! Disk-backed storage mode: a [`PageStore`] + [`BufferPool`] under the
 //! tree.
 //!
-//! [`RStarTree::save_to_path`] serializes a tree into an on-disk page
-//! file ([`nwc_store::FileStore`] format: magic/version header,
-//! per-page CRC-32 checksums). [`RStarTree::open_from_path`] opens such
-//! a file and returns a tree whose node accesses run through a buffer
-//! pool:
+//! [`RStarTree::save_to_path_writable`] serializes a tree into an
+//! on-disk page file ([`nwc_store::FileStore`] format: dual checksummed
+//! header slots, a CRC-32 trailer per page).
+//! [`RStarTree::open_from_path`] opens such a file and returns a tree
+//! whose node accesses run through a buffer pool:
 //!
 //! - a **pool miss** performs a real, checksum-verified page read from
 //!   the store and is charged to [`IoStats::node_reads`] — physical I/O;
@@ -80,8 +80,8 @@
 //!
 //! # Writable mode: dirty-node overlay + shadow paging
 //!
-//! A tree opened over a *writable* store (a version-2 page file opened
-//! with write permission, or [`nwc_store::MemStore::new_writable`])
+//! A tree opened over a *writable* store (a page file opened with write
+//! permission, or [`nwc_store::MemStore::new_writable`])
 //! supports [`RStarTree::insert`] and [`RStarTree::delete`] through a
 //! **dirty-node overlay** in [`TreeStorage`]:
 //!
@@ -109,8 +109,8 @@
 //! logically inconsistent — discard the tree (reopen) rather than
 //! commit after such an error.
 //!
-//! Trees over read-only stores (any version-1 file, or a v2 file
-//! without write permission) still return
+//! Trees over read-only stores (a page file without write permission,
+//! or a read-only [`nwc_store::MemStore`]) still return
 //! [`TreeError`](crate::TreeError)`::ReadOnly` from `insert`/`delete`
 //! rather than silently diverge from the file.
 
@@ -119,10 +119,7 @@ use crate::page::{decode_node, encode_node, PageLayout};
 use crate::tree::{RStarTree, TreeError};
 use crate::{IoStats, NodeId, PageError, TreeParams, PAGE_SIZE};
 use nwc_geom::{Point, Rect};
-use nwc_store::{
-    Access, BufferPool, FileStore, InflightTable, IoExecutor, PageStore, PoolStats, RetryPolicy,
-    StoreError,
-};
+use nwc_store::{Access, BufferPool, FileStore, PageStore, PoolStats, RetryPolicy, StoreError};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -220,12 +217,6 @@ pub struct DiskOptions {
     /// transient failures a few times with capped backoff;
     /// [`RetryPolicy::no_retries`] restores fail-on-first-error.
     pub retry: RetryPolicy,
-    /// I/O worker threads for overlapped readahead. 0 (the default)
-    /// keeps readahead synchronous on the query thread; ≥ 1 moves every
-    /// readahead run onto a completion thread pool so the query keeps
-    /// descending while the device is busy (see the module docs,
-    /// "Overlapped readahead"). No effect when `prefetch` is 0.
-    pub io_threads: usize,
 }
 
 /// The automatic shard count: one stripe per core up to 8, but never so
@@ -325,14 +316,6 @@ impl NodeCache {
     }
 }
 
-/// Overlapped readahead: the worker pool physical reads run on, plus
-/// the in-flight table that dedupes them against each other and against
-/// demand faults.
-struct OverlappedIo {
-    executor: IoExecutor,
-    inflight: Arc<InflightTable>,
-}
-
 /// Copy-on-write mutation state of a *writable* disk-backed tree: the
 /// dirty-node overlay plus the shadow allocator's free lists. `None`
 /// when the underlying store is read-only. Mutated only through
@@ -374,8 +357,8 @@ impl WriteState {
 /// pool in front of it, the decoded-node cache evicted in lock-step
 /// with the pool, and the root metadata captured by the open scan.
 pub struct TreeStorage {
-    store: Arc<dyn PageStore>,
-    pool: Arc<BufferPool>,
+    store: Box<dyn PageStore>,
+    pool: BufferPool,
     cache: Arc<NodeCache>,
     n_pages: u32,
     root_level: u32,
@@ -387,12 +370,8 @@ pub struct TreeStorage {
     prefetch: usize,
     /// Vectored readahead calls issued (each covers ≥ 1 contiguous
     /// pages) — fewer batches per prefetched page means a better
-    /// clustered layout. `Arc` so overlapped completions can tally
-    /// after the submitting call returned.
-    prefetch_batches: Arc<AtomicU64>,
-    /// Overlapped-readahead machinery: present iff `io_threads > 0` and
-    /// readahead is on. `None` keeps the synchronous PR-4 pipeline.
-    io: Option<OverlappedIo>,
+    /// clustered layout.
+    prefetch_batches: AtomicU64,
     /// Page reads that failed *after* a successful open (device errors,
     /// post-open truncation). Counts every failed attempt, whether or
     /// not a retry later recovered it. Failed attempts are *not*
@@ -442,17 +421,6 @@ impl TreeStorage {
         }
         if let Some(detail) = self.quarantined_detail(page) {
             return Err(DiskReadError { page, detail });
-        }
-        if let Some(io) = &self.io {
-            // An overlapped readahead for this very page may be mid
-            // flight: wait for its completion (which admits the bytes
-            // into the pool) instead of racing it with a second
-            // physical read. The pool access below then classifies the
-            // page as a prefetch hit — or, if the run failed, misses
-            // and demand-reads it with full retry protection.
-            if io.inflight.wait_done(page) {
-                stats.record_inflight_hit();
-            }
         }
         let attempts = self.retry.attempts();
         let mut failed = 0u64;
@@ -667,7 +635,7 @@ impl TreeStorage {
     /// advisory: a failed run is simply skipped (the demand path will
     /// re-read — counted, checksummed, retried — if the page is ever
     /// actually needed).
-    pub(crate) fn prefetch_pages(&self, candidates: &mut Vec<u32>, stats: &Arc<IoStats>) {
+    pub(crate) fn prefetch_pages(&self, candidates: &mut Vec<u32>, stats: &IoStats) {
         // Cap by half the pool so readahead can never flush the frames
         // the current descent path is actively using.
         let limit = self.prefetch.min(self.pool.capacity() / 2);
@@ -690,60 +658,6 @@ impl TreeStorage {
         }
         candidates.sort_unstable();
         candidates.dedup();
-        if let Some(io) = &self.io {
-            // Overlapped path: register the survivors as in flight
-            // (dropping any page another thread is already reading),
-            // then hand each coalesced run to the executor and return
-            // without touching the device. Completions admit the pages
-            // unpinned and tally exactly like the synchronous path.
-            candidates.retain(|&p| io.inflight.begin(p));
-            let mut i = 0;
-            while i < candidates.len() {
-                let mut j = i + 1;
-                while j < candidates.len() && candidates[j] == candidates[j - 1] + 1 {
-                    j += 1;
-                }
-                let run: Vec<u32> = candidates[i..j].to_vec();
-                let pool = Arc::clone(&self.pool);
-                let stats = Arc::clone(stats);
-                let inflight = Arc::clone(&io.inflight);
-                let batches = Arc::clone(&self.prefetch_batches);
-                io.executor.submit_read_run(
-                    Arc::clone(&self.store),
-                    run[0],
-                    run.len(),
-                    Box::new(move |result, elapsed| match result {
-                        Ok(bytes) => {
-                            stats.record_overlap(elapsed);
-                            batches.fetch_add(1, Ordering::Relaxed);
-                            for (k, &page) in run.iter().enumerate() {
-                                stats.record_prefetch_read();
-                                // Admit before clearing the in-flight
-                                // entry so a demand fault that waited on
-                                // this page finds its bytes resident.
-                                pool.admit_prefetched(
-                                    page,
-                                    &bytes[k * PAGE_SIZE..(k + 1) * PAGE_SIZE],
-                                );
-                                inflight.complete(page);
-                            }
-                        }
-                        Err(_) => {
-                            // Readahead never retries: tally the failed
-                            // batch and release the waiters — a demand
-                            // fault re-reads counted, checksummed and
-                            // retried if the pages are ever needed.
-                            stats.record_prefetch_error();
-                            for &page in &run {
-                                inflight.complete(page);
-                            }
-                        }
-                    }),
-                );
-                i = j;
-            }
-            return;
-        }
         let mut buf = vec![0u8; candidates.len() * PAGE_SIZE];
         let mut i = 0;
         while i < candidates.len() {
@@ -773,22 +687,6 @@ impl TreeStorage {
     /// The configured readahead width (0 = off).
     pub(crate) fn prefetch_limit(&self) -> usize {
         self.prefetch
-    }
-
-    /// I/O worker threads serving overlapped readahead (0 = readahead
-    /// is synchronous on the query thread).
-    pub fn io_threads(&self) -> usize {
-        self.io.as_ref().map_or(0, |io| io.executor.threads())
-    }
-
-    /// Blocks until every overlapped readahead submitted so far has
-    /// completed (a no-op on the synchronous backend). Benchmarks call
-    /// this before reading counters so trailing completions are not
-    /// attributed to the next cell.
-    pub fn wait_io_idle(&self) {
-        if let Some(io) = &self.io {
-            io.executor.wait_idle();
-        }
     }
 
     /// The page-id assignment order recorded in the file header.
@@ -848,12 +746,6 @@ impl TreeStorage {
     /// zeroes the pool, store and residency counters: the next access
     /// sequence measures from a cold buffer.
     pub fn reset(&self) {
-        // Let in-flight overlapped reads land first, so no completion
-        // repopulates the pool or bumps a counter after the zeroing
-        // below.
-        if let Some(io) = &self.io {
-            io.executor.wait_idle();
-        }
         self.pool.clear();
         // The evict hook emptied the map page-by-page; the explicit
         // clear keeps the invariant obvious and drops nothing extra.
@@ -1120,21 +1012,25 @@ impl TreeStorage {
 }
 
 impl RStarTree {
-    /// Serializes this tree into an on-disk page file at `path`,
-    /// with header + per-page checksums, and syncs it to stable
-    /// storage. The replacement is atomic: the pages are staged in a
-    /// sibling temp file and renamed over `path` only after a full
-    /// sync, so a crash mid-save leaves any previous file intact.
-    pub fn save_to_path(&self, path: impl AsRef<Path>) -> Result<(), DiskError> {
-        self.save_to_path_with_layout(path, PageLayout::BottomUp)
+    /// Serializes this tree into an on-disk page file at `path` (dual
+    /// checksummed header slots, a CRC-32 trailer per page) and syncs
+    /// it to stable storage. The replacement is atomic: the pages are
+    /// staged in a sibling temp file and renamed over `path` only after
+    /// a full sync, so a crash mid-save leaves any previous file
+    /// intact. The file supports in-place mutation through shadow-paged
+    /// commits when reopened (see the module docs, "Writable mode"), and
+    /// opens read-only where the filesystem denies write access. On a
+    /// writable disk-backed tree this also snapshots any uncommitted
+    /// overlay state into the new file.
+    pub fn save_to_path_writable(&self, path: impl AsRef<Path>) -> Result<(), DiskError> {
+        self.save_to_path_writable_with_layout(path, PageLayout::BottomUp)
     }
 
-    /// As [`RStarTree::save_to_path`], assigning page ids according to
-    /// `layout` (see [`PageLayout`]). The layout is recorded in the
-    /// file header and round-trips through
-    /// [`RStarTree::open_from_path`]; files written before the layout
-    /// existed decode as [`PageLayout::BottomUp`].
-    pub fn save_to_path_with_layout(
+    /// As [`RStarTree::save_to_path_writable`], assigning page ids
+    /// according to `layout` (see [`PageLayout`]). The layout is
+    /// recorded in the file header and round-trips through
+    /// [`RStarTree::open_from_path`].
+    pub fn save_to_path_writable_with_layout(
         &self,
         path: impl AsRef<Path>,
         layout: PageLayout,
@@ -1147,38 +1043,7 @@ impl RStarTree {
             self.params.min_entries as u64,
             // The layout tag rides in the top byte of the
             // reinsert-count word: reinsert counts are tiny (a fraction
-            // of the fanout), pre-layout files have a zero top byte
-            // (= BottomUp), and the format version stays 1.
-            self.params.reinsert_count as u64 | ((layout.tag() as u64) << 56),
-            self.len() as u64,
-        ];
-        FileStore::create(path.as_ref(), file.root_page(), user, &pages)?;
-        Ok(())
-    }
-
-    /// As [`RStarTree::save_to_path`], but writes a *writable* (v2)
-    /// page file: dual ping-pong header slots and per-page checksum
-    /// trailers, so the file supports in-place mutation through
-    /// shadow-paged commits when reopened (see the module docs,
-    /// "Writable mode"). On a writable disk-backed tree this also
-    /// snapshots any uncommitted overlay state into the new file.
-    pub fn save_to_path_writable(&self, path: impl AsRef<Path>) -> Result<(), DiskError> {
-        self.save_to_path_writable_with_layout(path, PageLayout::BottomUp)
-    }
-
-    /// As [`RStarTree::save_to_path_writable`], assigning page ids
-    /// according to `layout` (see [`PageLayout`]).
-    pub fn save_to_path_writable_with_layout(
-        &self,
-        path: impl AsRef<Path>,
-        layout: PageLayout,
-    ) -> Result<(), DiskError> {
-        let file = self.to_page_file_with_layout(layout);
-        let pages: Vec<[u8; PAGE_SIZE]> =
-            (0..file.page_count()).map(|i| *file.page(i as u32)).collect();
-        let user = [
-            self.params.max_entries as u64,
-            self.params.min_entries as u64,
+            // of the fanout), and a zero top byte means BottomUp.
             self.params.reinsert_count as u64 | ((layout.tag() as u64) << 56),
             self.len() as u64,
         ];
@@ -1218,8 +1083,9 @@ impl RStarTree {
         }
     }
 
-    /// Opens a page file written by [`RStarTree::save_to_path`] as a
-    /// disk-backed, read-only, demand-paged tree.
+    /// Opens a page file written by [`RStarTree::save_to_path_writable`]
+    /// as a disk-backed, demand-paged tree (writable when the file opens
+    /// with write permission; see the module docs, "Writable mode").
     ///
     /// `pool_capacity` bounds the buffer pool in pages — and with it
     /// the resident decoded nodes (see the module docs); `None` means
@@ -1377,15 +1243,9 @@ impl RStarTree {
         pool.set_evict_hook(Box::new(move |page| {
             hook_cache.lock_map().remove(&page);
         }));
-        // Overlapped readahead only makes sense when there is readahead
-        // to overlap; with prefetch off the executor would sit idle.
-        let io = (options.io_threads > 0 && options.prefetch > 0).then(|| OverlappedIo {
-            executor: IoExecutor::new(options.io_threads),
-            inflight: Arc::new(InflightTable::new()),
-        });
         tree.storage = Some(Box::new(TreeStorage {
-            store: Arc::from(store),
-            pool: Arc::new(pool),
+            store,
+            pool,
             cache,
             n_pages,
             root_level,
@@ -1393,8 +1253,7 @@ impl RStarTree {
             node_count,
             layout,
             prefetch: options.prefetch,
-            prefetch_batches: Arc::new(AtomicU64::new(0)),
-            io,
+            prefetch_batches: AtomicU64::new(0),
             io_errors: AtomicU64::new(0),
             retry: options.retry,
             quarantine: Mutex::new(HashMap::new()),
@@ -1449,7 +1308,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("tree.nwc");
         let tree = sample_tree(2000);
-        tree.save_to_path(&path).unwrap();
+        tree.save_to_path_writable(&path).unwrap();
         let disk = RStarTree::open_from_path(&path, None).unwrap();
         assert_eq!(disk.len(), tree.len());
         assert_eq!(disk.height(), tree.height());
@@ -1653,8 +1512,9 @@ mod tests {
             disk.stats().prefetch_reads() >= s.prefetched,
             "every admitted frame was read by a prefetch batch"
         );
-        // A healthy store swallows nothing.
+        // A healthy store swallows nothing, and no query leaks a pin.
         assert_eq!(disk.stats().prefetch_errors(), 0);
+        assert_eq!(s.pinned, 0);
         // Clustered sibling leaves are contiguous: batches must coalesce
         // (strictly fewer vectored calls than pages prefetched).
         let batches = storage.prefetch_batches();
@@ -1920,7 +1780,6 @@ mod tests {
                     base_backoff: std::time::Duration::ZERO,
                     max_backoff: std::time::Duration::ZERO,
                 },
-                ..DiskOptions::default()
             },
         )
         .unwrap();
@@ -1933,6 +1792,7 @@ mod tests {
             disk.stats().prefetch_errors() > 0,
             "swallowed readahead failures must be tallied"
         );
+        assert_eq!(disk.storage().unwrap().pool_stats().pinned, 0);
     }
 
     #[test]
@@ -2083,154 +1943,5 @@ mod tests {
         assert!(disk.storage().unwrap().free_pages() > 0);
         assert_eq!(disk.len(), 500);
         crate::validate::check_invariants(&disk).unwrap();
-    }
-
-    #[test]
-    fn overlapped_readahead_preserves_answers_and_logical_io() {
-        let tree = sample_tree(3000);
-        let w = rect(0.0, 0.0, 499.0, 491.0);
-        tree.stats().reset();
-        tree.window_query(&w);
-        let arena_io = tree.stats().node_reads();
-
-        let overlapped = RStarTree::open_from_store_with(
-            Box::new(mem_store_of_layout(&tree, PageLayout::Clustered)),
-            DiskOptions {
-                pool_capacity: Some(64),
-                pool_shards: Some(1),
-                prefetch: 16,
-                io_threads: 2,
-                ..DiskOptions::default()
-            },
-        )
-        .unwrap();
-        let storage = overlapped.storage().unwrap();
-        assert_eq!(storage.io_threads(), 2);
-
-        let mut got: Vec<u32> = overlapped.window_query(&w).iter().map(|e| e.id).collect();
-        got.sort_unstable();
-        let mut want: Vec<u32> = tree.window_query(&w).iter().map(|e| e.id).collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
-
-        // Quiesce any still-airborne runs before reading counters.
-        storage.wait_io_idle();
-        // Logical I/O is bit-identical to the arena regardless of which
-        // thread performed the physical reads.
-        assert_eq!(overlapped.stats().accesses(), arena_io);
-        let s = storage.pool_stats();
-        assert_eq!(s.hits + s.misses, arena_io);
-        assert_eq!(s.pinned, 0, "queries must not leak pins");
-        // The executor actually carried readahead work, and its wall
-        // clock landed in the overlap counter.
-        assert!(overlapped.stats().prefetch_reads() > 0);
-        assert!(storage.prefetch_batches() > 0);
-        assert!(overlapped.stats().overlap_us() > 0 || overlapped.stats().prefetch_reads() == 0);
-        assert_eq!(overlapped.stats().prefetch_errors(), 0);
-    }
-
-    #[test]
-    fn overlapped_and_sync_readahead_answer_identically() {
-        let tree = sample_tree(2500);
-        let open = |io_threads: usize| {
-            RStarTree::open_from_store_with(
-                Box::new(mem_store_of_layout(&tree, PageLayout::Clustered)),
-                DiskOptions {
-                    pool_capacity: Some(48),
-                    pool_shards: Some(1),
-                    prefetch: 8,
-                    io_threads,
-                    ..DiskOptions::default()
-                },
-            )
-            .unwrap()
-        };
-        let sync = open(0);
-        let over = open(2);
-        let windows = [
-            rect(0.0, 0.0, 499.0, 491.0),
-            rect(100.0, 100.0, 250.0, 300.0),
-            rect(400.0, 0.0, 499.0, 50.0),
-        ];
-        for w in &windows {
-            let mut a: Vec<u32> = sync.window_query(w).iter().map(|e| e.id).collect();
-            let mut b: Vec<u32> = over.window_query(w).iter().map(|e| e.id).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
-            // Logical accounting never depends on the physical backend.
-            assert_eq!(sync.stats().accesses(), over.stats().accesses());
-        }
-        let storage = over.storage().unwrap();
-        storage.wait_io_idle();
-        assert_eq!(storage.pool_stats().pinned, 0);
-    }
-
-    #[test]
-    fn overlapped_reset_quiesces_and_restores_cold_state() {
-        let tree = sample_tree(2000);
-        let disk = RStarTree::open_from_store_with(
-            Box::new(mem_store_of_layout(&tree, PageLayout::Clustered)),
-            DiskOptions {
-                pool_capacity: Some(32),
-                pool_shards: Some(1),
-                prefetch: 8,
-                io_threads: 2,
-                ..DiskOptions::default()
-            },
-        )
-        .unwrap();
-        let w = rect(0.0, 0.0, 499.0, 491.0);
-        disk.window_query(&w);
-        let storage = disk.storage().unwrap();
-        storage.reset();
-        // Storage reset waits out in-flight completions, so nothing can
-        // land in the pool or bump a counter after the stats reset below.
-        disk.stats().reset();
-        assert_eq!(disk.stats().accesses(), 0);
-        assert_eq!(disk.stats().overlap_us(), 0);
-        assert_eq!(disk.stats().inflight_hits(), 0);
-        let s = storage.pool_stats();
-        assert_eq!(s.resident, 0);
-        assert_eq!(s.pinned, 0);
-        // The tree still answers after the cold restart.
-        assert_eq!(disk.window_query(&w).len(), tree.len());
-    }
-
-    #[test]
-    fn overlapped_backend_survives_faults_without_retrying_readahead() {
-        use nwc_store::{FaultPlan, FaultStore};
-        let tree = sample_tree(3000);
-        let fault = std::sync::Arc::new(FaultStore::new(
-            mem_store_of_layout(&tree, PageLayout::Clustered),
-            FaultPlan::default(),
-        ));
-        let disk = RStarTree::open_from_store_with(
-            Box::new(std::sync::Arc::clone(&fault)),
-            DiskOptions {
-                pool_capacity: Some(64),
-                pool_shards: Some(1),
-                prefetch: 16,
-                io_threads: 2,
-                retry: nwc_store::RetryPolicy {
-                    max_attempts: 8,
-                    base_backoff: std::time::Duration::ZERO,
-                    max_backoff: std::time::Duration::ZERO,
-                },
-            },
-        )
-        .unwrap();
-        fault.set_plan(FaultPlan { transient_rate: 0.3, transient_burst: 1, ..FaultPlan::default() });
-        let w = rect(0.0, 0.0, 499.0, 491.0);
-        let mut got: Vec<u32> = disk.window_query(&w).iter().map(|e| e.id).collect();
-        got.sort_unstable();
-        assert_eq!(got.len(), tree.len());
-        let storage = disk.storage().unwrap();
-        storage.wait_io_idle();
-        assert!(
-            disk.stats().prefetch_errors() > 0,
-            "swallowed readahead failures must be tallied on the overlapped path too"
-        );
-        assert_eq!(storage.pool_stats().pinned, 0);
     }
 }

@@ -19,10 +19,13 @@
 //! ```
 //!
 //! Leaf entries are 20 bytes (`u32` id + 2 × `f64`); internal entries
-//! are 36 bytes (`u32` child page + 4 × `f64` child MBR). 50 internal
-//! entries need `41 + 50·36 = 1841 ≤ 4096` bytes, so the paper's fanout
-//! fits with room to spare (checked by [`TreeParams`]-aware asserts at
-//! write time).
+//! are 36 bytes (`u32` child page + 4 × `f64` child MBR). A node may
+//! use only the store's [`nwc_store::PAGE_PAYLOAD`] bytes — the page
+//! file keeps each page's CRC-32 in the final 4 — so a page holds at
+//! most 202 leaf or 112 internal entries. 50 internal entries need
+//! `41 + 50·36 = 1841 ≤ 4092` bytes, so the paper's fanout fits with
+//! room to spare (checked by [`TreeParams`]-aware asserts at write
+//! time).
 
 use crate::node::{Branch, Node, NodeKind};
 use crate::tree::RStarTree;
@@ -41,14 +44,21 @@ const HEADER: usize = 1 + 4 + 4 + 32;
 const LEAF_ENTRY: usize = 4 + 16;
 const INTERNAL_ENTRY: usize = 4 + 32;
 
-/// Maximum entries per page for each node kind at [`PAGE_SIZE`].
-pub fn page_capacity_leaf() -> usize {
-    (PAGE_SIZE - HEADER) / LEAF_ENTRY
+/// Maximum entries per page for each node kind: what fits in the
+/// store's page payload, ahead of the CRC trailer.
+pub const fn page_capacity_leaf() -> usize {
+    (nwc_store::PAGE_PAYLOAD - HEADER) / LEAF_ENTRY
 }
 /// See [`page_capacity_leaf`].
-pub fn page_capacity_internal() -> usize {
-    (PAGE_SIZE - HEADER) / INTERNAL_ENTRY
+pub const fn page_capacity_internal() -> usize {
+    (nwc_store::PAGE_PAYLOAD - HEADER) / INTERNAL_ENTRY
 }
+
+// A full node of either kind must end before the store's CRC trailer,
+// which the page file overwrites on every write.
+const _: () = assert!(HEADER + page_capacity_leaf() * LEAF_ENTRY <= nwc_store::PAGE_PAYLOAD);
+const _: () =
+    assert!(HEADER + page_capacity_internal() * INTERNAL_ENTRY <= nwc_store::PAGE_PAYLOAD);
 
 /// An error produced while reading a page file.
 ///
@@ -408,7 +418,7 @@ pub(crate) fn encode_node(node: &Node, page_of: &HashMap<NodeId, u32>) -> [u8; P
             }
         }
     }
-    debug_assert!(off <= PAGE_SIZE);
+    debug_assert!(off <= nwc_store::PAGE_PAYLOAD);
     buf
 }
 
@@ -610,6 +620,38 @@ mod tests {
     fn capacities_admit_paper_fanout() {
         assert!(page_capacity_leaf() >= 50, "{}", page_capacity_leaf());
         assert!(page_capacity_internal() >= 50, "{}", page_capacity_internal());
+        assert_eq!((page_capacity_leaf(), page_capacity_internal()), (202, 112));
+    }
+
+    #[test]
+    fn full_nodes_leave_the_crc_trailer_zero() {
+        let far = Rect::new(Point::new(-1e300, -1e300), Point::new(1e300, 1e300));
+        let mut leaf = Node::new_leaf();
+        leaf.level = u32::MAX;
+        leaf.mbr = far;
+        *leaf.entries_mut() = (0..page_capacity_leaf() as u32)
+            .map(|i| Entry::new(u32::MAX - i, Point::new(-1e300, 1e300)))
+            .collect();
+        let mut internal = Node::new_internal(u32::MAX);
+        internal.mbr = far;
+        let mut page_of = HashMap::new();
+        *internal.branches_mut() = (0..page_capacity_internal() as u32)
+            .map(|i| {
+                page_of.insert(NodeId(i), u32::MAX - i);
+                Branch {
+                    child: NodeId(i),
+                    mbr: far,
+                }
+            })
+            .collect();
+        for node in [&leaf, &internal] {
+            let buf = encode_node(node, &page_of);
+            assert_eq!(buf[nwc_store::PAGE_PAYLOAD..], [0u8; 4], "{:?}", node.kind);
+            // The entries fill the page to within one entry of the
+            // trailer, so the check above is not vacuous.
+            let tail = &buf[nwc_store::PAGE_PAYLOAD - 60..nwc_store::PAGE_PAYLOAD];
+            assert!(tail.iter().any(|&b| b != 0));
+        }
     }
 
     #[test]

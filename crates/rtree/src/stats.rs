@@ -85,8 +85,6 @@ pub struct IoStats {
     transient_errors: AtomicU64,
     quarantined_pages: AtomicU64,
     prefetch_errors: AtomicU64,
-    inflight_hits: AtomicU64,
-    overlap_us: AtomicU64,
 }
 
 impl IoStats {
@@ -221,41 +219,6 @@ impl IoStats {
         self.prefetch_errors.load(Ordering::Relaxed)
     }
 
-    /// Records one demand fault that found its page's read already in
-    /// flight (overlapped readahead) and waited for the pending
-    /// completion instead of issuing a second physical read. The access
-    /// itself is charged separately, as the pool hit/miss it resolves
-    /// to — this tally only attributes the dedupe. No thread-local
-    /// attribution: like the prefetch counters, it sits outside logical
-    /// I/O.
-    #[inline]
-    pub fn record_inflight_hit(&self) {
-        self.inflight_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Demand faults that waited on an in-flight overlapped read since
-    /// construction or the last reset.
-    #[inline]
-    pub fn inflight_hits(&self) -> u64 {
-        self.inflight_hits.load(Ordering::Relaxed)
-    }
-
-    /// Adds `elapsed` device time spent inside overlapped readahead
-    /// workers — wall clock the query threads did *not* spend blocked on
-    /// the store. Saturating at `u64::MAX` microseconds.
-    #[inline]
-    pub fn record_overlap(&self, elapsed: std::time::Duration) {
-        let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-        self.overlap_us.fetch_add(us, Ordering::Relaxed);
-    }
-
-    /// Total microseconds of device time overlapped with query work
-    /// since construction or the last reset.
-    #[inline]
-    pub fn overlap_us(&self) -> u64 {
-        self.overlap_us.load(Ordering::Relaxed)
-    }
-
     /// Current values of the calling thread's error-path tallies (pair
     /// with [`IoStats::errors_since`] on this thread).
     #[inline]
@@ -327,8 +290,6 @@ impl IoStats {
         self.transient_errors.store(0, Ordering::Relaxed);
         self.quarantined_pages.store(0, Ordering::Relaxed);
         self.prefetch_errors.store(0, Ordering::Relaxed);
-        self.inflight_hits.store(0, Ordering::Relaxed);
-        self.overlap_us.store(0, Ordering::Relaxed);
     }
 }
 
@@ -385,21 +346,6 @@ mod tests {
         assert_eq!(s.since(snap), 1);
         s.reset();
         assert_eq!((s.prefetch_reads(), s.prefetch_hits()), (0, 0));
-    }
-
-    #[test]
-    fn overlap_counters_stay_outside_logical_accounting() {
-        let s = IoStats::new();
-        let snap = s.snapshot();
-        s.record_inflight_hit();
-        s.record_overlap(std::time::Duration::from_micros(250));
-        s.record_overlap(std::time::Duration::from_micros(50));
-        assert_eq!(s.inflight_hits(), 1);
-        assert_eq!(s.overlap_us(), 300);
-        assert_eq!(s.accesses(), 0);
-        assert_eq!(s.since(snap), 0);
-        s.reset();
-        assert_eq!((s.inflight_hits(), s.overlap_us()), (0, 0));
     }
 
     #[test]

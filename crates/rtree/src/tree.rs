@@ -4,15 +4,14 @@ use crate::node::{Node, NodeKind};
 use crate::{Entry, IoStats, NodeId, TreeParams};
 use nwc_geom::{Point, Rect};
 use std::ops::Deref;
-use std::sync::Arc;
 
 /// An error from an [`RStarTree`] operation that could not proceed: a
 /// mutation of a read-only tree, or a disk-backed read that failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TreeError {
     /// The tree is disk-backed over a store with no write path (a
-    /// version-1 page file, a read-only backend, or a file opened
-    /// without write permission): mutating the cached nodes would
+    /// read-only backend, or a page file opened without write
+    /// permission): mutating the cached nodes would
     /// silently diverge from the page file. Save a writable file with
     /// [`RStarTree::save_to_path_writable`] and reopen it, or rebuild
     /// in memory.
@@ -116,10 +115,7 @@ pub struct RStarTree {
     pub(crate) root: NodeId,
     pub(crate) len: usize,
     pub(crate) params: TreeParams,
-    /// Shared (`Arc`) so overlapped-readahead completions can keep
-    /// tallying into the same counters after the submitting call
-    /// returned; everything else reaches it through `&`.
-    pub(crate) stats: Arc<IoStats>,
+    pub(crate) stats: IoStats,
     /// `Some` for a disk-backed tree (see [`crate::disk`]): the arena is
     /// empty, node ids are page ids, node accesses fault pages in
     /// through the buffer pool, and mutations require a writable store
@@ -137,7 +133,7 @@ impl RStarTree {
             root: NodeId(0),
             len: 0,
             params,
-            stats: Arc::new(IoStats::new()),
+            stats: IoStats::new(),
             storage: None,
         };
         tree.root = tree.alloc(Node::new_leaf());

@@ -313,8 +313,9 @@ impl IndexHandle {
 
     /// Opens the index at `path` as a new generation and swaps to it
     /// (see [`IndexHandle::swap_index`]). A directory holding a sharded
-    /// `MANIFEST` (written by `ShardedNwcIndex::save_to_dir`) opens as
-    /// a sharded generation; anything else opens as a single page file.
+    /// `MANIFEST` (written by `ShardedNwcIndex::save_to_dir_writable`)
+    /// opens as a sharded generation; anything else opens as a single
+    /// page file.
     /// On an open error the served generation is untouched.
     pub fn swap_from_path(
         &self,
@@ -445,7 +446,7 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         ShardedNwcIndex::build(pts, 2)
-            .save_to_dir(&dir)
+            .save_to_dir_writable(&dir)
             .expect("save sharded dir");
         let report = handle
             .swap_from_path(

@@ -13,7 +13,9 @@ pub enum StoreError {
     /// The file does not start with the store magic; it is not a page
     /// file (or it was truncated before the header).
     BadMagic,
-    /// The file's format version is not one this build understands.
+    /// The file's format version is not one this build understands
+    /// (this build reads and writes version 2 only; version-1 files
+    /// predate it and must be rebuilt and re-saved).
     BadVersion(u32),
     /// The header declares a page size different from [`PAGE_SIZE`]
     /// (`crate::PAGE_SIZE`).
@@ -50,8 +52,8 @@ pub enum StoreError {
     /// The store holds no pages (a page file must at least hold a root).
     Empty,
     /// A write, grow, or commit was attempted on a store without a
-    /// write path: a read-only backend, a version-1 page file, or a
-    /// version-2 file opened without write permission.
+    /// write path: a read-only backend, or a page file opened without
+    /// write permission.
     ReadOnly,
     /// Another live process holds the advisory lock on this page file:
     /// opening (or re-creating) it now could corrupt a reader. The lock
@@ -68,7 +70,11 @@ impl std::fmt::Display for StoreError {
         match self {
             StoreError::Io(e) => write!(f, "page store I/O error: {e}"),
             StoreError::BadMagic => write!(f, "not a page file (bad magic)"),
-            StoreError::BadVersion(v) => write!(f, "unsupported page file version {v}"),
+            StoreError::BadVersion(v) => write!(
+                f,
+                "unsupported page file version {v} (this build reads version 2 only; \
+                 rebuild the index from its source data and save it again)"
+            ),
             StoreError::BadPageSize(s) => write!(f, "unsupported page size {s}"),
             StoreError::HeaderChecksum => write!(f, "header checksum mismatch"),
             StoreError::Truncated { expected, actual } => {

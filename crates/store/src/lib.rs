@@ -9,10 +9,10 @@
 //!   reads, sync. Two implementations:
 //!   - [`MemStore`] — pages in a `Vec`; for tests and corruption
 //!     injection.
-//!   - [`FileStore`] — a real on-disk page file with a magic/version
-//!     header and a per-page CRC-32 checksum table; corrupt or
-//!     truncated files are rejected with typed [`StoreError`]s, never
-//!     panics.
+//!   - [`FileStore`] — a real on-disk, shadow-paged page file with
+//!     dual checksummed header slots and a CRC-32 trailer in every
+//!     page; corrupt or truncated files are rejected with typed
+//!     [`StoreError`]s, never panics.
 //! - [`FaultStore`] — a seeded, scriptable fault-injection wrapper over
 //!   any backend (transient errors, dead pages, bit-rot, torn reads,
 //!   latency) with exact injected-fault counters, plus [`RetryPolicy`]:
@@ -33,7 +33,6 @@
 
 mod checksum;
 mod error;
-mod executor;
 mod fault;
 mod pool;
 mod retry;
@@ -43,9 +42,13 @@ mod store;
 /// `nwc-rtree` page codec.
 pub const PAGE_SIZE: usize = 4096;
 
+/// Bytes of each page available to the client. The final
+/// `PAGE_SIZE - PAGE_PAYLOAD` bytes hold the page's CRC-32 trailer in a
+/// [`FileStore`]; clients must leave them zero.
+pub const PAGE_PAYLOAD: usize = PAGE_SIZE - 4;
+
 pub use checksum::crc32;
 pub use error::StoreError;
-pub use executor::{InflightTable, IoExecutor, ReadRunCompletion};
 pub use fault::{FaultPlan, FaultStats, FaultStore};
 pub use pool::{split_capacity, Access, BufferPool, PoolStats};
 pub use retry::RetryPolicy;

@@ -7,32 +7,14 @@
 //! every physical read is an actual `read` syscall verified against a
 //! checksum recorded at write time.
 //!
-//! # Read-only file layout (version 1, little-endian)
+//! # File layout (version 2, little-endian)
 //!
-//! ```text
-//! offset            size              field
-//! 0                 4096              header page:
-//!   0                 8                 magic  b"NWCPAGE\x01"
-//!   8                 4                 format version (1)
-//!   12                4                 page size (4096)
-//!   16                4                 page count
-//!   20                4                 root page id
-//!   24                32                user metadata (4 × u64, opaque)
-//!   56                4                 CRC-32 of the checksum table
-//!   60                4                 CRC-32 of header bytes 0..60
-//! 4096              ⌈count·4 / 4096⌉·4096   checksum table (u32 per page)
-//! …                 count · 4096      data pages
-//! ```
-//!
-//! # Writable file layout (version 2, little-endian)
-//!
-//! Version 2 supports in-place mutation with **copy-on-write shadow
+//! The page file supports in-place mutation with **copy-on-write shadow
 //! paging**: dirty pages are always written to freshly allocated page
 //! ids (never over a page reachable from the committed root), and a
 //! commit is an atomic root flip between two ping-pong header slots.
-//! The central checksum table of version 1 cannot be updated atomically
-//! alongside the root flip, so version 2 embeds each page's CRC-32 in
-//! the page itself instead.
+//! Each page embeds its own CRC-32, so no central table has to change
+//! alongside the flip.
 //!
 //! ```text
 //! offset            size              field
@@ -64,7 +46,11 @@
 //! valid slot with the highest generation and falls back to the other
 //! on a checksum mismatch, so a crash at any commit point reopens as
 //! exactly the old or the new tree — the same all-or-nothing discipline
-//! [`FileStore::create`]'s staged rename gives whole-file saves.
+//! [`FileStore::create_writable`]'s staged rename gives whole-file saves.
+//!
+//! Version-1 files (read-only, with a central checksum table) come from
+//! older builds; [`FileStore::open`] rejects them with
+//! [`StoreError::BadVersion`] and they must be rebuilt and re-saved.
 //!
 //! Data pages start on a page-aligned offset, so the operating system's
 //! own page cache and read-ahead behave as they would for any database
@@ -72,7 +58,7 @@
 
 use crate::checksum::crc32;
 use crate::error::StoreError;
-use crate::PAGE_SIZE;
+use crate::{PAGE_PAYLOAD, PAGE_SIZE};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -80,22 +66,19 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 const MAGIC: [u8; 8] = *b"NWCPAGE\x01";
-const VERSION: u32 = 1;
-const VERSION_WRITABLE: u32 = 2;
-const HEADER_LEN: usize = 64;
-/// Bytes of a version-2 header slot that carry content (the rest of the
-/// slot's page is padding): 64 header bytes + 4 CRC bytes.
+const VERSION: u32 = 2;
+/// Bytes of a header slot that carry content (the rest of the slot's
+/// page is padding): 64 header bytes + 4 CRC bytes.
 const SLOT_LEN: usize = 68;
-/// Per-page payload bytes in a version-2 file (the final 4 bytes hold
-/// the page's embedded CRC-32).
-const PAGE_PAYLOAD: usize = PAGE_SIZE - 4;
+/// Byte offset of data page 0, after the two header slots.
+const DATA_OFFSET: u64 = 2 * PAGE_SIZE as u64;
 
 /// Metadata describing a page store: its shape plus 32 opaque bytes for
 /// the client (the R\*-tree packs its `TreeParams` and length there —
 /// the store itself never interprets them).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StoreMeta {
-    /// Size of every page, bytes. Always [`PAGE_SIZE`] in version 1.
+    /// Size of every page, bytes. Always [`PAGE_SIZE`].
     pub page_size: u32,
     /// Number of pages in the store.
     pub page_count: u32,
@@ -190,9 +173,9 @@ pub trait PageStore: Send + Sync {
 
     /// Writes `buf` (exactly [`PAGE_SIZE`] bytes) to page `page`.
     ///
-    /// The final 4 bytes of every page are reserved for backend
-    /// integrity metadata (the embedded CRC-32 of a writable
-    /// [`FileStore`]); callers must leave them zero. The write is
+    /// Only the first [`PAGE_PAYLOAD`] bytes belong to the caller; the
+    /// rest are reserved for backend integrity metadata (the embedded
+    /// CRC-32 of a [`FileStore`]) and must be left zero. The write is
     /// **not** durable until [`PageStore::commit`]; shadow-paging
     /// callers only ever write pages unreachable from the committed
     /// root, so a crash before commit cannot corrupt committed state.
@@ -422,68 +405,38 @@ impl PageStore for MemStore {
 // FileStore
 // ---------------------------------------------------------------------
 
-/// An on-disk [`PageStore`]: a page file with a checksummed header and a
-/// CRC-32 per page (see the module docs for the two layouts). Open with
-/// [`FileStore::open`] (which detects the format), create a read-only
-/// version-1 file with [`FileStore::create`] or a writable
-/// shadow-paging version-2 file with [`FileStore::create_writable`].
+/// An on-disk [`PageStore`]: a shadow-paged page file with checksummed
+/// header slots and a CRC-32 trailer per page (see the module docs for
+/// the layout). Create with [`FileStore::create_writable`], open with
+/// [`FileStore::open`].
 pub struct FileStore {
     // The pool serializes loads anyway, so a mutex (portable) costs no
     // extra contention over platform positioned-read APIs.
     file: Mutex<File>,
     /// Committed metadata: what a crash-reopen would observe.
     meta: Mutex<StoreMeta>,
-    /// Committed commit generation (version 2; 0 for version 1).
+    /// Committed commit generation.
     generation: AtomicU64,
     /// Total pages in the file, **including** grown-but-uncommitted
     /// ones — the bound for reads and writes. Equals the committed
     /// page count except between a [`FileStore::grow`] and the next
     /// commit.
     pages_total: AtomicU32,
-    /// Version 1 only: the central CRC-32 table loaded and verified at
-    /// open. Empty for version 2, where each page embeds its own CRC.
-    checksums: Vec<u32>,
-    /// On-disk format version (1 = read-only, 2 = writable).
-    version: u32,
-    /// Byte offset of data page 0.
-    data_offset: u64,
-    /// Whether the write path is available: a version-2 file opened
-    /// with write permission.
+    /// Whether the write path is available: the file was opened with
+    /// write permission.
     writable: bool,
     reads: AtomicU64,
     /// Advisory path lock, released when the store drops.
     _lock: PathLock,
 }
 
-/// Bytes occupied by the checksum table, padded to whole pages.
-fn table_bytes(page_count: u32) -> u64 {
-    let raw = page_count as u64 * 4;
-    raw.div_ceil(PAGE_SIZE as u64) * PAGE_SIZE as u64
-}
-
-fn encode_header(meta: &StoreMeta, table_crc: u32) -> [u8; PAGE_SIZE] {
+/// Encodes one header slot (a full page, content in the first
+/// [`SLOT_LEN`] bytes). Generation `g` always lands in slot
+/// `(g + 1) % 2`.
+fn encode_header(meta: &StoreMeta, generation: u64) -> [u8; PAGE_SIZE] {
     let mut h = [0u8; PAGE_SIZE];
     h[0..8].copy_from_slice(&MAGIC);
     h[8..12].copy_from_slice(&VERSION.to_le_bytes());
-    h[12..16].copy_from_slice(&meta.page_size.to_le_bytes());
-    h[16..20].copy_from_slice(&meta.page_count.to_le_bytes());
-    h[20..24].copy_from_slice(&meta.root_page.to_le_bytes());
-    for (i, w) in meta.user.iter().enumerate() {
-        h[24 + i * 8..32 + i * 8].copy_from_slice(&w.to_le_bytes());
-    }
-    h[56..60].copy_from_slice(&table_crc.to_le_bytes());
-    let header_crc = crc32(&h[0..60]);
-    h[60..64].copy_from_slice(&header_crc.to_le_bytes());
-    h
-}
-
-/// Encodes one version-2 header slot (a full page, content in the first
-/// [`SLOT_LEN`] bytes). Generation `g` always lands in slot
-/// `(g + 1) % 2`.
-fn encode_header_v2(meta: &StoreMeta, generation: u64) -> [u8; PAGE_SIZE] {
-    let mut h = [0u8; PAGE_SIZE];
-    h[0..8].copy_from_slice(&MAGIC);
-    h[8..12].copy_from_slice(&VERSION_WRITABLE.to_le_bytes());
     h[12..16].copy_from_slice(&meta.page_size.to_le_bytes());
     h[16..20].copy_from_slice(&meta.page_count.to_le_bytes());
     h[20..24].copy_from_slice(&meta.root_page.to_le_bytes());
@@ -496,15 +449,15 @@ fn encode_header_v2(meta: &StoreMeta, generation: u64) -> [u8; PAGE_SIZE] {
     h
 }
 
-/// The file offset of version-2 header slot `(generation + 1) % 2`.
-fn v2_slot_offset(generation: u64) -> u64 {
+/// The file offset of header slot `(generation + 1) % 2`.
+fn slot_offset(generation: u64) -> u64 {
     ((generation + 1) % 2) * PAGE_SIZE as u64
 }
 
-/// Decodes `buf` as a version-2 header slot; `None` when the magic,
-/// checksum, version, or metadata is invalid (a torn or never-written
-/// slot — the caller falls back to the sibling slot).
-fn parse_v2_slot(buf: &[u8]) -> Option<(StoreMeta, u64)> {
+/// Decodes `buf` as a header slot; `None` when the magic, checksum,
+/// version, or metadata is invalid (a torn or never-written slot — the
+/// caller falls back to the sibling slot).
+fn parse_slot(buf: &[u8]) -> Option<(StoreMeta, u64)> {
     if buf.len() < SLOT_LEN || buf[0..8] != MAGIC {
         return None;
     }
@@ -512,7 +465,7 @@ fn parse_v2_slot(buf: &[u8]) -> Option<(StoreMeta, u64)> {
     if crc32(&buf[0..64]) != stored_crc {
         return None;
     }
-    if u32::from_le_bytes(buf[8..12].try_into().unwrap()) != VERSION_WRITABLE {
+    if u32::from_le_bytes(buf[8..12].try_into().unwrap()) != VERSION {
         return None;
     }
     let meta = StoreMeta {
@@ -532,8 +485,8 @@ fn parse_v2_slot(buf: &[u8]) -> Option<(StoreMeta, u64)> {
     Some((meta, generation))
 }
 
-/// Stamps the embedded CRC-32 trailer onto a copy of `page` (version-2
-/// page image). The payload region is everything before the trailer.
+/// Stamps the embedded CRC-32 trailer onto a copy of `page`. The
+/// payload region is everything before the trailer.
 fn stamp_page_crc(page: &[u8; PAGE_SIZE]) -> [u8; PAGE_SIZE] {
     let mut stamped = *page;
     let crc = crc32(&stamped[..PAGE_PAYLOAD]);
@@ -541,10 +494,11 @@ fn stamp_page_crc(page: &[u8; PAGE_SIZE]) -> [u8; PAGE_SIZE] {
     stamped
 }
 
-/// The sibling temp path `create` stages its writes in: `<name>.tmp`
-/// next to the target. Deterministic so [`FileStore::open`] can clean a
-/// stray one left by a crash (the layer assumes a single writer per
-/// path, which `save_to_path`-style callers satisfy).
+/// The sibling temp path `create_writable` stages its writes in:
+/// `<name>.tmp` next to the target. Deterministic so
+/// [`FileStore::open`] can clean a stray one left by a crash (the layer
+/// assumes a single writer per path, which the tree's save calls
+/// satisfy).
 fn tmp_sibling(path: &Path) -> PathBuf {
     let mut name = path
         .file_name()
@@ -651,7 +605,7 @@ fn fsync_parent_dir(path: &Path) -> std::io::Result<()> {
 
 impl FileStore {
     /// Writes a new page file at `path` (replacing any existing file)
-    /// and returns the opened store.
+    /// and returns the opened, writable store.
     ///
     /// The replacement is **all-or-nothing**: bytes are staged in a
     /// sibling `<name>.tmp`, fsynced, then atomically renamed over
@@ -662,74 +616,13 @@ impl FileStore {
     ///
     /// The path's advisory lock is taken first and held until the
     /// returned store drops: while another process has the file open
-    /// (reading or writing), `create` returns [`StoreError::Locked`]
-    /// instead of rewriting pages under an active reader.
-    pub fn create(
-        path: &Path,
-        root_page: u32,
-        user: [u64; 4],
-        pages: &[[u8; PAGE_SIZE]],
-    ) -> Result<FileStore, StoreError> {
-        let lock = PathLock::acquire(path)?;
-        let meta = StoreMeta::new(
-            u32::try_from(pages.len()).expect("page count overflows u32"),
-            root_page,
-            user,
-        );
-        meta.validate()?;
-
-        let checksums: Vec<u32> = pages.iter().map(|p| crc32(p)).collect();
-        let mut table = vec![0u8; table_bytes(meta.page_count) as usize];
-        for (i, c) in checksums.iter().enumerate() {
-            table[i * 4..i * 4 + 4].copy_from_slice(&c.to_le_bytes());
-        }
-        let table_crc = crc32(&table);
-
-        let tmp = tmp_sibling(path);
-        let write_and_swap = |tmp: &Path| -> Result<File, StoreError> {
-            let mut file = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(tmp)?;
-            file.write_all(&encode_header(&meta, table_crc))?;
-            file.write_all(&table)?;
-            for p in pages {
-                file.write_all(p)?;
-            }
-            file.sync_all()?;
-            // The handle stays valid across the rename (same inode).
-            fs::rename(tmp, path)?;
-            fsync_parent_dir(path)?;
-            Ok(file)
-        };
-        let file = write_and_swap(&tmp).inspect_err(|_| {
-            // Failed mid-stage: the target is untouched; drop the
-            // half-written temp file if one was created.
-            fs::remove_file(&tmp).ok();
-        })?;
-
-        Ok(FileStore {
-            file: Mutex::new(file),
-            meta: Mutex::new(meta),
-            generation: AtomicU64::new(0),
-            pages_total: AtomicU32::new(meta.page_count),
-            checksums,
-            version: VERSION,
-            data_offset: PAGE_SIZE as u64 + table_bytes(meta.page_count),
-            writable: false,
-            reads: AtomicU64::new(0),
-            _lock: lock,
-        })
-    }
-
-    /// Writes a new **writable** (version 2, shadow-paging) page file at
-    /// `path` and returns the opened store, with the same staged-rename
-    /// all-or-nothing discipline as [`FileStore::create`].
+    /// (reading or writing), `create_writable` returns
+    /// [`StoreError::Locked`] instead of rewriting pages under an
+    /// active reader.
     ///
     /// Each page's final 4 bytes are overwritten with its embedded
-    /// CRC-32 trailer, so callers must leave them zero.
+    /// CRC-32 trailer, so callers must leave them zero (only the first
+    /// [`PAGE_PAYLOAD`] bytes are theirs).
     pub fn create_writable(
         path: &Path,
         root_page: u32,
@@ -744,8 +637,8 @@ impl FileStore {
         );
         meta.validate()?;
         let generation = 1u64;
-        debug_assert_eq!(v2_slot_offset(generation), 0, "first commit lives in slot 0");
-        let header = encode_header_v2(&meta, generation);
+        debug_assert_eq!(slot_offset(generation), 0, "first commit lives in slot 0");
+        let header = encode_header(&meta, generation);
 
         let tmp = tmp_sibling(path);
         let write_and_swap = |tmp: &Path| -> Result<File, StoreError> {
@@ -773,6 +666,8 @@ impl FileStore {
             Ok(file)
         };
         let file = write_and_swap(&tmp).inspect_err(|_| {
+            // Failed mid-stage: the target is untouched; drop the
+            // half-written temp file if one was created.
             fs::remove_file(&tmp).ok();
         })?;
 
@@ -781,9 +676,6 @@ impl FileStore {
             meta: Mutex::new(meta),
             generation: AtomicU64::new(generation),
             pages_total: AtomicU32::new(meta.page_count),
-            checksums: Vec::new(),
-            version: VERSION_WRITABLE,
-            data_offset: 2 * PAGE_SIZE as u64,
             writable: true,
             reads: AtomicU64::new(0),
             _lock: lock,
@@ -791,20 +683,20 @@ impl FileStore {
     }
 
     /// Opens an existing page file, validating the magic, version, page
-    /// size, header checksum(s), root page, file length, and page
-    /// checksums' anchor (the central table for version 1; version 2
-    /// verifies its embedded per-page trailers on demand). Corrupt
-    /// files are rejected with a typed [`StoreError`].
+    /// size, header slot checksums, root page, and file length (each
+    /// page's embedded checksum is verified on demand, at read time).
+    /// Corrupt files are rejected with a typed [`StoreError`]; files of
+    /// any other format version — including version-1 files written by
+    /// older builds — with [`StoreError::BadVersion`].
     ///
-    /// The format is detected from the header: version-1 files open
-    /// read-only, version-2 files open writable when the filesystem
-    /// permits (falling back to read-only otherwise). A version-2 file
-    /// whose most recent header slot was torn by a crash falls back to
-    /// the sibling slot — the previous committed state.
+    /// The file opens writable when the filesystem permits and falls
+    /// back to read-only otherwise. A file whose most recent header slot
+    /// was torn by a crash falls back to the sibling slot — the previous
+    /// committed state.
     ///
     /// Holds the path's advisory lock for the store's lifetime, so a
-    /// concurrent [`FileStore::create`] cannot rewrite the file under
-    /// this reader — it gets [`StoreError::Locked`] instead.
+    /// concurrent [`FileStore::create_writable`] cannot rewrite the file
+    /// under this reader — it gets [`StoreError::Locked`] instead.
     pub fn open(path: &Path) -> Result<FileStore, StoreError> {
         let lock = PathLock::acquire(path)?;
         // A stray staging file here means a previous save crashed after
@@ -820,104 +712,40 @@ impl FileStore {
         };
         let slot0 = read_slot(&mut file, 0);
         let slot1 = read_slot(&mut file, PAGE_SIZE as u64);
-
-        let Some(header) = slot0.filter(|s| s[0..8] == MAGIC) else {
-            // No valid magic at offset 0: either not a page file at
-            // all, or a version-2 file whose slot 0 was torn mid-write
-            // — the sibling slot still holds a committed state.
-            if let Some((meta, generation)) = slot1.and_then(|s| parse_v2_slot(&s)) {
-                return FileStore::open_v2(path, file, meta, generation, lock);
-            }
-            return Err(StoreError::BadMagic);
-        };
-        let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        if version == VERSION {
-            return FileStore::open_v1(file, &header[..HEADER_LEN], lock);
-        }
-        // Version 2 (or a torn version field): pick the valid slot with
-        // the highest generation.
+        // Pick the valid slot with the highest generation; a slot torn
+        // by a crash fails its CRC and yields to its sibling.
         let best = [slot0, slot1]
             .into_iter()
             .flatten()
-            .filter_map(|s| parse_v2_slot(&s))
+            .filter_map(|s| parse_slot(&s))
             .max_by_key(|&(_, generation)| generation);
-        match best {
-            Some((meta, generation)) => FileStore::open_v2(path, file, meta, generation, lock),
-            None if version == VERSION_WRITABLE => Err(StoreError::HeaderChecksum),
-            None => Err(StoreError::BadVersion(version)),
+        if let Some((meta, generation)) = best {
+            return FileStore::open_committed(path, file, meta, generation, lock);
         }
-    }
-
-    /// Version-1 open: validate the header CRC and the central checksum
-    /// table, then serve reads from the read-only handle.
-    fn open_v1(
-        mut file: File,
-        header: &[u8],
-        lock: PathLock,
-    ) -> Result<FileStore, StoreError> {
-        let stored_crc = u32::from_le_bytes(header[60..64].try_into().unwrap());
-        if crc32(&header[0..60]) != stored_crc {
-            return Err(StoreError::HeaderChecksum);
-        }
-        let meta = StoreMeta {
-            page_size: u32::from_le_bytes(header[12..16].try_into().unwrap()),
-            page_count: u32::from_le_bytes(header[16..20].try_into().unwrap()),
-            root_page: u32::from_le_bytes(header[20..24].try_into().unwrap()),
-            user: {
-                let mut user = [0u64; 4];
-                for (i, w) in user.iter_mut().enumerate() {
-                    *w = u64::from_le_bytes(header[24 + i * 8..32 + i * 8].try_into().unwrap());
-                }
-                user
+        // No committed slot. With the magic intact at offset 0, the
+        // version field says whether this is a damaged current-format
+        // file or another format altogether.
+        match slot0.filter(|s| s[0..8] == MAGIC) {
+            None => Err(StoreError::BadMagic),
+            Some(header) => match u32::from_le_bytes(header[8..12].try_into().unwrap()) {
+                VERSION => Err(StoreError::HeaderChecksum),
+                version => Err(StoreError::BadVersion(version)),
             },
-        };
-        meta.validate()?;
-
-        let data_offset = PAGE_SIZE as u64 + table_bytes(meta.page_count);
-        let expected = data_offset + meta.page_count as u64 * PAGE_SIZE as u64;
-        let actual = file.metadata()?.len();
-        if actual < expected {
-            return Err(StoreError::Truncated { expected, actual });
         }
-
-        let mut table = vec![0u8; table_bytes(meta.page_count) as usize];
-        file.seek(SeekFrom::Start(PAGE_SIZE as u64))?;
-        file.read_exact(&mut table)?;
-        let table_crc = u32::from_le_bytes(header[56..60].try_into().unwrap());
-        if crc32(&table) != table_crc {
-            return Err(StoreError::HeaderChecksum);
-        }
-        let checksums: Vec<u32> = (0..meta.page_count as usize)
-            .map(|i| u32::from_le_bytes(table[i * 4..i * 4 + 4].try_into().unwrap()))
-            .collect();
-
-        Ok(FileStore {
-            file: Mutex::new(file),
-            meta: Mutex::new(meta),
-            generation: AtomicU64::new(0),
-            pages_total: AtomicU32::new(meta.page_count),
-            checksums,
-            version: VERSION,
-            data_offset,
-            writable: false,
-            reads: AtomicU64::new(0),
-            _lock: lock,
-        })
     }
 
-    /// Version-2 open from an already-selected committed header slot:
-    /// check the file extent, reopen with write permission when
-    /// available, and trim crash garbage (grown-but-uncommitted tail
-    /// pages) back to the committed extent.
-    fn open_v2(
+    /// Open from an already-selected committed header slot: check the
+    /// file extent, reopen with write permission when available, and
+    /// trim crash garbage (grown-but-uncommitted tail pages) back to the
+    /// committed extent.
+    fn open_committed(
         path: &Path,
         file: File,
         meta: StoreMeta,
         generation: u64,
         lock: PathLock,
     ) -> Result<FileStore, StoreError> {
-        let data_offset = 2 * PAGE_SIZE as u64;
-        let expected = data_offset + meta.page_count as u64 * PAGE_SIZE as u64;
+        let expected = DATA_OFFSET + meta.page_count as u64 * PAGE_SIZE as u64;
         let actual = file.metadata()?.len();
         if actual < expected {
             return Err(StoreError::Truncated { expected, actual });
@@ -939,16 +767,13 @@ impl FileStore {
             meta: Mutex::new(meta),
             generation: AtomicU64::new(generation),
             pages_total: AtomicU32::new(meta.page_count),
-            checksums: Vec::new(),
-            version: VERSION_WRITABLE,
-            data_offset,
             writable,
             reads: AtomicU64::new(0),
             _lock: lock,
         })
     }
 
-    /// The store's committed commit generation (0 for version-1 files).
+    /// The store's committed commit generation.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Relaxed)
     }
@@ -964,16 +789,10 @@ impl FileStore {
         self.meta.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Verifies one page's bytes against its recorded checksum — the
-    /// central table (version 1) or the embedded trailer (version 2).
-    fn verify_page(&self, page: u32, buf: &[u8]) -> Result<(), StoreError> {
-        let ok = if self.version == VERSION {
-            crc32(buf) == self.checksums[page as usize]
-        } else {
-            let stored = u32::from_le_bytes(buf[PAGE_PAYLOAD..PAGE_SIZE].try_into().unwrap());
-            crc32(&buf[..PAGE_PAYLOAD]) == stored
-        };
-        if ok {
+    /// Verifies one page's bytes against its embedded CRC-32 trailer.
+    fn verify_page(page: u32, buf: &[u8]) -> Result<(), StoreError> {
+        let stored = u32::from_le_bytes(buf[PAGE_PAYLOAD..PAGE_SIZE].try_into().unwrap());
+        if crc32(&buf[..PAGE_PAYLOAD]) == stored {
             Ok(())
         } else {
             Err(StoreError::PageChecksum { page })
@@ -1004,11 +823,11 @@ impl PageStore for FileStore {
         {
             let mut file = self.lock_file();
             file.seek(SeekFrom::Start(
-                self.data_offset + page as u64 * PAGE_SIZE as u64,
+                DATA_OFFSET + page as u64 * PAGE_SIZE as u64,
             ))?;
             file.read_exact(buf)?;
         }
-        self.verify_page(page, buf)
+        Self::verify_page(page, buf)
     }
 
     fn read_run_uncounted(&self, first: u32, buf: &mut [u8]) -> Result<(), StoreError> {
@@ -1030,12 +849,12 @@ impl PageStore for FileStore {
             // the syscall batching a clustered page layout buys.
             let mut file = self.lock_file();
             file.seek(SeekFrom::Start(
-                self.data_offset + first as u64 * PAGE_SIZE as u64,
+                DATA_OFFSET + first as u64 * PAGE_SIZE as u64,
             ))?;
             file.read_exact(buf)?;
         }
         for (i, chunk) in buf.chunks(PAGE_SIZE).enumerate() {
-            self.verify_page(first + i as u32, chunk)?;
+            Self::verify_page(first + i as u32, chunk)?;
         }
         Ok(())
     }
@@ -1073,7 +892,7 @@ impl PageStore for FileStore {
         let stamped = stamp_page_crc(&stamped);
         let mut file = self.lock_file();
         file.seek(SeekFrom::Start(
-            self.data_offset + page as u64 * PAGE_SIZE as u64,
+            DATA_OFFSET + page as u64 * PAGE_SIZE as u64,
         ))?;
         file.write_all(&stamped)?;
         Ok(())
@@ -1090,7 +909,7 @@ impl PageStore for FileStore {
         let total = first
             .checked_add(additional)
             .expect("page count overflows u32");
-        file.set_len(self.data_offset + total as u64 * PAGE_SIZE as u64)?;
+        file.set_len(DATA_OFFSET + total as u64 * PAGE_SIZE as u64)?;
         self.pages_total.store(total, Ordering::Relaxed);
         Ok(first)
     }
@@ -1103,7 +922,7 @@ impl PageStore for FileStore {
         let meta = StoreMeta::new(total, root_page, user);
         meta.validate()?;
         let generation = self.generation.load(Ordering::Relaxed) + 1;
-        let header = encode_header_v2(&meta, generation);
+        let header = encode_header(&meta, generation);
         {
             let mut file = self.lock_file();
             // Ordering is the crash-consistency contract: data pages
@@ -1113,7 +932,7 @@ impl PageStore for FileStore {
             // new slot is either absent or torn, and torn slots fail
             // their CRC at open).
             file.sync_all()?;
-            file.seek(SeekFrom::Start(v2_slot_offset(generation)))?;
+            file.seek(SeekFrom::Start(slot_offset(generation)))?;
             file.write_all(&header)?;
             file.sync_all()?;
         }
@@ -1127,16 +946,23 @@ impl PageStore for FileStore {
 mod tests {
     use super::*;
 
+    /// Distinct pages with the reserved CRC trailer left zero.
     fn sample_pages(n: usize) -> Vec<[u8; PAGE_SIZE]> {
         (0..n)
             .map(|i| {
                 let mut p = [0u8; PAGE_SIZE];
-                for (j, b) in p.iter_mut().enumerate() {
+                for (j, b) in p[..PAGE_PAYLOAD].iter_mut().enumerate() {
                     *b = ((i * 131 + j * 7) % 251) as u8;
                 }
                 p
             })
             .collect()
+    }
+
+    /// Whether a page read back from a [`FileStore`] carries `want`'s
+    /// payload (the trailer holds the store's CRC, not caller bytes).
+    fn same_payload(got: &[u8], want: &[u8]) -> bool {
+        got[..PAGE_PAYLOAD] == want[..PAGE_PAYLOAD]
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -1178,7 +1004,7 @@ mod tests {
         let path = tmp("roundtrip");
         let pages = sample_pages(7);
         {
-            let store = FileStore::create(&path, 3, [1, 2, 3, 4], &pages).unwrap();
+            let store = FileStore::create_writable(&path, 3, [1, 2, 3, 4], &pages).unwrap();
             store.sync().unwrap();
         }
         let store = FileStore::open(&path).unwrap();
@@ -1188,7 +1014,7 @@ mod tests {
         let mut buf = [0u8; PAGE_SIZE];
         for (i, want) in pages.iter().enumerate() {
             store.read_page(i as u32, &mut buf).unwrap();
-            assert_eq!(buf[..], want[..], "page {i}");
+            assert!(same_payload(&buf, want), "page {i}");
         }
         assert_eq!(store.physical_reads(), 7);
         std::fs::remove_file(&path).ok();
@@ -1201,7 +1027,7 @@ mod tests {
         assert!(matches!(FileStore::open(&path), Err(StoreError::BadMagic)));
 
         let pages = sample_pages(4);
-        FileStore::create(&path, 0, [0; 4], &pages).unwrap();
+        FileStore::create_writable(&path, 0, [0; 4], &pages).unwrap();
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - PAGE_SIZE]).unwrap();
         assert!(matches!(
@@ -1215,15 +1041,14 @@ mod tests {
     fn filestore_detects_flipped_page_byte() {
         let path = tmp("bitrot");
         let pages = sample_pages(3);
-        FileStore::create(&path, 0, [0; 4], &pages).unwrap();
+        FileStore::create_writable(&path, 0, [0; 4], &pages).unwrap();
         // Flip one byte in the middle of page 1's on-disk bytes.
         let mut bytes = std::fs::read(&path).unwrap();
-        let data_offset = PAGE_SIZE as u64 + table_bytes(3);
-        let victim = data_offset as usize + PAGE_SIZE + 100;
+        let victim = DATA_OFFSET as usize + PAGE_SIZE + 100;
         bytes[victim] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
 
-        let store = FileStore::open(&path).unwrap(); // header+table still fine
+        let store = FileStore::open(&path).unwrap(); // header slots still fine
         let mut buf = [0u8; PAGE_SIZE];
         store.read_page(0, &mut buf).unwrap(); // untouched page still reads
         assert!(matches!(
@@ -1236,7 +1061,7 @@ mod tests {
     #[test]
     fn filestore_detects_header_corruption() {
         let path = tmp("badheader");
-        FileStore::create(&path, 0, [0; 4], &sample_pages(2)).unwrap();
+        FileStore::create_writable(&path, 0, [0; 4], &sample_pages(2)).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[20] ^= 0x01; // root page field
         std::fs::write(&path, &bytes).unwrap();
@@ -1250,12 +1075,12 @@ mod tests {
     #[test]
     fn filestore_rejects_future_version() {
         let path = tmp("version");
-        FileStore::create(&path, 0, [0; 4], &sample_pages(2)).unwrap();
+        FileStore::create_writable(&path, 0, [0; 4], &sample_pages(2)).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        // Re-stamp the header checksum so only the version is "wrong".
-        let crc = crc32(&bytes[0..60]);
-        bytes[60..64].copy_from_slice(&crc.to_le_bytes());
+        // Re-stamp the slot checksum so only the version is "wrong".
+        let crc = crc32(&bytes[0..64]);
+        bytes[64..68].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             FileStore::open(&path),
@@ -1271,12 +1096,12 @@ mod tests {
         std::fs::remove_dir_all(&tmp_path).ok();
         std::fs::remove_file(&tmp_path).ok();
         let good = sample_pages(3);
-        FileStore::create(&path, 1, [5; 4], &good).unwrap();
+        FileStore::create_writable(&path, 1, [5; 4], &good).unwrap();
 
         // Simulate a save that cannot complete: a directory squats on
         // the staging path, so the temp file can't even be opened.
         std::fs::create_dir(&tmp_path).unwrap();
-        assert!(FileStore::create(&path, 0, [9; 4], &sample_pages(8)).is_err());
+        assert!(FileStore::create_writable(&path, 0, [9; 4], &sample_pages(8)).is_err());
         std::fs::remove_dir_all(&tmp_path).unwrap();
 
         // The original save is untouched and fully readable.
@@ -1287,14 +1112,14 @@ mod tests {
         let mut buf = [0u8; PAGE_SIZE];
         for (i, want) in good.iter().enumerate() {
             store.read_page(i as u32, &mut buf).unwrap();
-            assert_eq!(buf[..], want[..], "page {i}");
+            assert!(same_payload(&buf, want), "page {i}");
         }
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn create_never_stages_in_the_target_path() {
-        // While `create` is mid-write, the *target* must hold either
+        // While `create_writable` is mid-write, the *target* must hold either
         // nothing or the complete previous file — verified here by
         // checking the staged temp name is a sibling, not the target,
         // and that no temp residue survives a successful save.
@@ -1305,7 +1130,7 @@ mod tests {
             staged.file_name().unwrap().to_string_lossy(),
             format!("{}.tmp", path.file_name().unwrap().to_string_lossy())
         );
-        FileStore::create(&path, 0, [0; 4], &sample_pages(2)).unwrap();
+        FileStore::create_writable(&path, 0, [0; 4], &sample_pages(2)).unwrap();
         assert!(path.exists());
         assert!(!staged.exists(), "no temp residue after a clean save");
         std::fs::remove_file(&path).ok();
@@ -1314,7 +1139,7 @@ mod tests {
     #[test]
     fn stray_temp_file_is_cleaned_on_open() {
         let path = tmp("stray_tmp");
-        FileStore::create(&path, 0, [0; 4], &sample_pages(2)).unwrap();
+        FileStore::create_writable(&path, 0, [0; 4], &sample_pages(2)).unwrap();
         // A crashed writer left a half-written staging file behind.
         let stray = tmp_sibling(&path);
         std::fs::write(&stray, b"half-written wreckage").unwrap();
@@ -1326,17 +1151,18 @@ mod tests {
 
     #[test]
     fn rename_keeps_open_handle_valid() {
-        // `create` returns a store backed by the handle it staged with;
+        // `create_writable` returns a store backed by the handle it
+        // staged with;
         // after the rename (and even after unlinking the file) reads
         // must keep working through that handle.
         let path = tmp("handle_valid");
         let pages = sample_pages(4);
-        let store = FileStore::create(&path, 0, [0; 4], &pages).unwrap();
+        let store = FileStore::create_writable(&path, 0, [0; 4], &pages).unwrap();
         std::fs::remove_file(&path).unwrap();
         let mut buf = [0u8; PAGE_SIZE];
         for (i, want) in pages.iter().enumerate() {
             store.read_page(i as u32, &mut buf).unwrap();
-            assert_eq!(buf[..], want[..], "page {i}");
+            assert!(same_payload(&buf, want), "page {i}");
         }
     }
 
@@ -1351,7 +1177,7 @@ mod tests {
         assert_eq!(store.physical_reads(), 1);
 
         let path = tmp("uncounted");
-        let fstore = FileStore::create(&path, 0, [0; 4], &sample_pages(2)).unwrap();
+        let fstore = FileStore::create_writable(&path, 0, [0; 4], &sample_pages(2)).unwrap();
         fstore.read_page_uncounted(1, &mut buf).unwrap();
         assert_eq!(fstore.physical_reads(), 0);
         fstore.read_page(1, &mut buf).unwrap();
@@ -1364,14 +1190,13 @@ mod tests {
         let pages = sample_pages(6);
         let mem = MemStore::new(pages.clone(), 0, [0; 4]).unwrap();
         let path = tmp("run_read");
-        let fstore = FileStore::create(&path, 0, [0; 4], &pages).unwrap();
+        let fstore = FileStore::create_writable(&path, 0, [0; 4], &pages).unwrap();
         for store in [&mem as &dyn PageStore, &fstore as &dyn PageStore] {
             let mut buf = vec![0u8; 3 * PAGE_SIZE];
             store.read_run_uncounted(2, &mut buf).unwrap();
             for i in 0..3 {
-                assert_eq!(
-                    buf[i * PAGE_SIZE..(i + 1) * PAGE_SIZE],
-                    pages[2 + i][..],
+                assert!(
+                    same_payload(&buf[i * PAGE_SIZE..(i + 1) * PAGE_SIZE], &pages[2 + i]),
                     "run page {i}"
                 );
             }
@@ -1385,8 +1210,7 @@ mod tests {
         // A corrupt page inside a run is still caught by its checksum.
         drop(fstore);
         let mut bytes = std::fs::read(&path).unwrap();
-        let data_offset = PAGE_SIZE as u64 + table_bytes(6);
-        bytes[data_offset as usize + 3 * PAGE_SIZE + 17] ^= 0xFF;
+        bytes[DATA_OFFSET as usize + 3 * PAGE_SIZE + 17] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         let fstore = FileStore::open(&path).unwrap();
         let mut buf = vec![0u8; 3 * PAGE_SIZE];
@@ -1400,20 +1224,20 @@ mod tests {
     #[test]
     fn lock_blocks_writer_while_reader_is_open() {
         let path = tmp("lock_writer_out");
-        FileStore::create(&path, 0, [0; 4], &sample_pages(2)).unwrap();
+        FileStore::create_writable(&path, 0, [0; 4], &sample_pages(2)).unwrap();
         let reader = FileStore::open(&path).unwrap();
         // A second writer must not rewrite pages under the open reader.
         assert!(matches!(
-            FileStore::create(&path, 0, [0; 4], &sample_pages(3)),
+            FileStore::create_writable(&path, 0, [0; 4], &sample_pages(3)),
             Err(StoreError::Locked { .. })
         ));
         // The reader is fully usable throughout.
         let mut buf = [0u8; PAGE_SIZE];
         reader.read_page(1, &mut buf).unwrap();
-        assert_eq!(buf[..], sample_pages(2)[1][..]);
+        assert!(same_payload(&buf, &sample_pages(2)[1]));
         drop(reader);
         // Lock released with the reader: the rewrite now goes through.
-        let store = FileStore::create(&path, 0, [0; 4], &sample_pages(3)).unwrap();
+        let store = FileStore::create_writable(&path, 0, [0; 4], &sample_pages(3)).unwrap();
         assert_eq!(store.meta().page_count, 3);
         drop(store);
         std::fs::remove_file(&path).ok();
@@ -1422,7 +1246,7 @@ mod tests {
     #[test]
     fn lock_blocks_reader_while_writer_holds_the_file() {
         let path = tmp("lock_reader_out");
-        let writer = FileStore::create(&path, 0, [0; 4], &sample_pages(2)).unwrap();
+        let writer = FileStore::create_writable(&path, 0, [0; 4], &sample_pages(2)).unwrap();
         // A reader opening mid-write (the writer's store is still live)
         // is refused rather than handed a file that may be rewritten.
         assert!(matches!(
@@ -1439,7 +1263,7 @@ mod tests {
     #[test]
     fn stale_lock_from_dead_process_is_reclaimed() {
         let path = tmp("lock_stale");
-        FileStore::create(&path, 0, [0; 4], &sample_pages(2)).unwrap();
+        FileStore::create_writable(&path, 0, [0; 4], &sample_pages(2)).unwrap();
         // Forge a lock owned by an impossible pid (Linux pid_max is far
         // below u32::MAX), as a crashed holder would leave behind.
         std::fs::write(lock_sibling(&path), u32::MAX.to_string()).unwrap();
@@ -1465,13 +1289,13 @@ mod tests {
         std::fs::remove_dir_all(&tmp_path).ok();
         // Make the staging write fail: a directory squats on the path.
         std::fs::create_dir(&tmp_path).unwrap();
-        assert!(FileStore::create(&path, 0, [0; 4], &sample_pages(2)).is_err());
+        assert!(FileStore::create_writable(&path, 0, [0; 4], &sample_pages(2)).is_err());
         std::fs::remove_dir_all(&tmp_path).unwrap();
         assert!(
             !lock_sibling(&path).exists(),
             "a failed create must not leave the path locked"
         );
-        FileStore::create(&path, 0, [0; 4], &sample_pages(2)).unwrap();
+        FileStore::create_writable(&path, 0, [0; 4], &sample_pages(2)).unwrap();
         std::fs::remove_file(&path).ok();
     }
 
@@ -1489,9 +1313,43 @@ mod tests {
     }
 
     #[test]
-    fn table_padding_is_page_aligned() {
-        assert_eq!(table_bytes(1), PAGE_SIZE as u64);
-        assert_eq!(table_bytes(1024), PAGE_SIZE as u64);
-        assert_eq!(table_bytes(1025), 2 * PAGE_SIZE as u64);
+    fn version_one_file_is_rejected_with_a_typed_error() {
+        // A version-1 image as older builds wrote it: one header page
+        // (magic, version 1, page size, count, root, user words, table
+        // CRC, header CRC over bytes 0..60), a central checksum-table
+        // page, then the data pages.
+        let path = tmp("v1");
+        let pages = sample_pages(2);
+        let mut table = [0u8; PAGE_SIZE];
+        for (i, p) in pages.iter().enumerate() {
+            table[i * 4..i * 4 + 4].copy_from_slice(&crc32(p).to_le_bytes());
+        }
+        let mut header = [0u8; PAGE_SIZE];
+        header[0..8].copy_from_slice(&MAGIC);
+        header[8..12].copy_from_slice(&1u32.to_le_bytes());
+        header[12..16].copy_from_slice(&(PAGE_SIZE as u32).to_le_bytes());
+        header[16..20].copy_from_slice(&2u32.to_le_bytes());
+        header[24..32].copy_from_slice(&50u64.to_le_bytes());
+        header[56..60].copy_from_slice(&crc32(&table).to_le_bytes());
+        let header_crc = crc32(&header[0..60]);
+        header[60..64].copy_from_slice(&header_crc.to_le_bytes());
+        let mut bytes = header.to_vec();
+        bytes.extend_from_slice(&table);
+        for p in &pages {
+            bytes.extend_from_slice(p);
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        match FileStore::open(&path) {
+            Err(StoreError::BadVersion(1)) => {}
+            Err(e) => panic!("expected BadVersion(1), got {e}"),
+            Ok(_) => panic!("a version-1 file must not open"),
+        }
+        // The message tells the user what to do about it.
+        let msg = StoreError::BadVersion(1).to_string();
+        assert!(msg.contains("save it again"), "{msg}");
+        // The refused open released its lock and left the file alone.
+        assert!(!lock_sibling(&path).exists());
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -21,7 +21,7 @@ fn main() {
 
     // ---- persist -----------------------------------------------------
     let path = std::env::temp_dir().join("nwc-example.pages");
-    index.save_tree(&path).expect("saving the page file");
+    index.save_tree_writable(&path).expect("saving the page file");
     let bytes = std::fs::metadata(&path).expect("stat").len();
     println!(
         "saved {n_objects} objects as {} ({} KiB, {} pages)",

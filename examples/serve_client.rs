@@ -21,7 +21,7 @@ fn main() {
     for (path, seed) in [(&gen1, 7u64), (&gen2, 8u64)] {
         let dataset = Dataset::uniform(10_000, seed);
         NwcIndex::build(dataset.points)
-            .save_tree(path)
+            .save_tree_writable(path)
             .expect("saving page file");
     }
 

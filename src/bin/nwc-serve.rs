@@ -5,7 +5,7 @@
 //! nwc-serve --self-test
 //! ```
 //!
-//! `serve` opens a page file written by `NwcIndex::save_tree` and
+//! `serve` opens a page file written by `NwcIndex::save_tree_writable` and
 //! serves the binary protocol (see `nwc-serve`'s crate docs) until a
 //! client sends `Shutdown` or the process is killed. A running server
 //! hot-swaps to a new page file when a client sends `Swap(path)`.
@@ -127,7 +127,7 @@ fn self_test_in(dir: &std::path::Path) -> Result<(), String> {
     for (path, seed) in [(&gen1, 1u64), (&gen2, 2u64)] {
         let dataset = Dataset::uniform(20_000, seed);
         nwc_core::NwcIndex::build(dataset.points)
-            .save_tree(path)
+            .save_tree_writable(path)
             .map_err(|e| format!("saving {}: {e}", path.display()))?;
     }
 

@@ -52,7 +52,7 @@ fn fault_backed(
 ) -> (NwcIndex, Arc<FaultStore<FileStore>>) {
     let path = temp_pages(tag);
     arena
-        .save_tree_with_layout(&path, PageLayout::Clustered)
+        .save_tree_writable_with_layout(&path, PageLayout::Clustered)
         .expect("save clustered");
     let store = FileStore::open(&path).expect("reopen page file");
     let fault = Arc::new(FaultStore::new(store, FaultPlan::default()));
@@ -166,99 +166,23 @@ fn transient_faults_keep_every_scheme_bit_identical_to_arena() {
             "engine q{qi}: logical I/O diverged"
         );
     }
+    let storage = disk.tree().storage().expect("disk-backed");
+    assert_eq!(storage.pool_stats().pinned, 0, "engine batch leaked a pin");
 }
 
 #[test]
-fn overlapped_io_stays_bit_identical_under_transient_faults() {
-    // Same contract as the sync chaos test, but with readahead running
-    // on completion threads: mid-descent transient faults on the demand
-    // path retry as before, failed readahead runs are swallowed and
-    // tallied (never retried), and answers plus logical I/O stay
-    // bit-identical to the arena at 1 and 4 I/O threads.
-    let arena = NwcIndex::build(chaos_points(4_000));
-    let queries = chaos_queries();
-    for io_threads in [1usize, 4] {
-        let (disk, fault) = fault_backed(
-            &arena,
-            &format!("overlap{io_threads}"),
-            DiskIndexConfig {
-                pool_capacity: Some(64),
-                pool_shards: Some(2),
-                prefetch: 8,
-                io_threads,
-                retry: fast_retry(12),
-                ..DiskIndexConfig::default()
-            },
-        );
-        fault.set_plan(FaultPlan {
-            transient_rate: 0.02,
-            transient_burst: 2,
-            seed: 0xDEC0_DE5E,
-            ..FaultPlan::default()
-        });
-
-        for &scheme in Scheme::TABLE3.iter() {
-            for (qi, q) in queries.iter().enumerate() {
-                let (want, ws) = arena.nwc_full(q, scheme);
-                let (got, gs) = disk.try_nwc_full(q, scheme).unwrap_or_else(|e| {
-                    panic!("io{io_threads}/{scheme} q{qi}: transient fault leaked: {e}")
-                });
-                match (&want, &got) {
-                    (None, None) => {}
-                    (Some(a), Some(d)) => {
-                        assert_eq!(a.ids(), d.ids(), "io{io_threads}/{scheme} q{qi}");
-                        assert_eq!(a.distance, d.distance, "io{io_threads}/{scheme} q{qi}");
-                    }
-                    _ => panic!("io{io_threads}/{scheme} q{qi}: one mode found a result, one did not"),
-                }
-                assert_eq!(
-                    SearchStats { buffer_hits: 0, retries: 0, transient_errors: 0, ..gs },
-                    ws,
-                    "io{io_threads}/{scheme} q{qi}: logical I/O diverged"
-                );
-            }
-        }
-
-        // 4-thread engine on top of the overlapped backend: workers and
-        // completion threads share the pool; every slot still Ok.
-        let engine = QueryEngine::new(&disk).with_threads(4);
-        let batch = engine.try_nwc_batch(&queries, Scheme::NWC_STAR);
-        for (qi, (q, slot)) in queries.iter().zip(&batch).enumerate() {
-            let (got, _) = slot.as_ref().unwrap_or_else(|e| {
-                panic!("io{io_threads}/engine q{qi}: transient fault leaked: {e}")
-            });
-            let (want, _) = arena.nwc_full(q, Scheme::NWC_STAR);
-            assert_eq!(
-                want.map(|r| r.ids()),
-                got.as_ref().map(|r| r.ids()),
-                "io{io_threads}/engine q{qi}"
-            );
-        }
-
-        let storage = disk.tree().storage().expect("disk-backed");
-        storage.wait_io_idle();
-        assert_eq!(storage.pool_stats().pinned, 0, "io{io_threads}: leaked a pin");
-        assert!(
-            storage.quarantine().is_empty(),
-            "io{io_threads}: transient faults must never quarantine"
-        );
-        assert!(fault.stats().transient > 0, "io{io_threads}: the store never injected");
-    }
-}
-
-#[test]
-fn overlapped_io_preserves_quarantine_on_permanent_faults() {
-    // A permanently dead leaf under the overlapped backend: typed error,
-    // quarantined once, no pins leaked by either the query threads or
-    // the completion threads, and recovery after clearing the fault.
+fn readahead_preserves_quarantine_on_permanent_faults() {
+    // A permanently dead leaf with readahead on: the failed readahead
+    // run is swallowed, the demand read surfaces a typed error, the page
+    // is quarantined once, no pin leaks, and service recovers after the
+    // fault clears.
     let arena = NwcIndex::build(chaos_points(3_000));
     let (disk, fault) = fault_backed(
         &arena,
-        "overlap-perm",
+        "readahead-perm",
         DiskIndexConfig {
             pool_capacity: Some(64),
             prefetch: 8,
-            io_threads: 2,
             retry: fast_retry(3),
             ..DiskIndexConfig::default()
         },
@@ -273,7 +197,6 @@ fn overlapped_io_preserves_quarantine_on_permanent_faults() {
         other => panic!("expected Io error, got {other:?}"),
     }
     let storage = disk.tree().storage().expect("disk-backed");
-    storage.wait_io_idle();
     let quarantined = storage.quarantine();
     assert_eq!(quarantined.len(), 1);
     assert_eq!(quarantined[0].0, dead_leaf);
@@ -469,7 +392,7 @@ fn budget_exhaustion_mid_scatter_degrades_the_merged_bound() {
     let mut fault = None;
     for (i, shard) in built.shards().iter().enumerate() {
         let path = dir.join(format!("shard-{i}.pages"));
-        shard.save_tree(&path).expect("save shard");
+        shard.save_tree_writable(&path).expect("save shard");
         if i == 0 {
             let store = FileStore::open(&path).expect("reopen shard 0");
             let f = Arc::new(FaultStore::new(store, FaultPlan::default()));

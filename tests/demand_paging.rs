@@ -5,6 +5,7 @@
 
 use nwc::prelude::*;
 use nwc::rtree::PAGE_SIZE;
+use nwc::store::{FileStore, MemStore, PageStore};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -33,7 +34,7 @@ fn seeded_points(n: usize, seed: u64) -> Vec<Point> {
 /// Saves the arena index and reopens it with the given pool bound.
 fn reopen_with(arena: &NwcIndex, tag: &str, config: DiskIndexConfig) -> NwcIndex {
     let path = temp_pages(tag);
-    arena.save_tree(&path).expect("save");
+    arena.save_tree_writable(&path).expect("save");
     let disk = NwcIndex::open_disk(&path, config).expect("open");
     std::fs::remove_file(&path).ok();
     disk
@@ -155,10 +156,30 @@ fn memory_budget_bounds_resident_nodes_end_to_end() {
     );
 }
 
+/// Saves the arena index and reopens its pages from a read-only
+/// in-memory store: a disk-backed index with no write path.
+fn reopen_read_only(arena: &NwcIndex, tag: &str) -> NwcIndex {
+    let path = temp_pages(tag);
+    arena.save_tree_writable(&path).expect("save");
+    let file = FileStore::open(&path).expect("open page file");
+    let meta = file.meta();
+    let pages = (0..meta.page_count)
+        .map(|page| {
+            let mut buf = [0u8; PAGE_SIZE];
+            file.read_page_uncounted(page, &mut buf).expect("read page");
+            buf
+        })
+        .collect();
+    drop(file);
+    std::fs::remove_file(&path).ok();
+    let store = MemStore::new(pages, meta.root_page, meta.user).expect("read-only store");
+    NwcIndex::open_disk_from_store(Box::new(store), DiskIndexConfig::default()).expect("open")
+}
+
 #[test]
 fn disk_backed_index_rejects_updates_with_typed_errors() {
     let arena = NwcIndex::build(seeded_points(400, 7));
-    let mut disk = reopen_with(&arena, "readonly", DiskIndexConfig::default());
+    let mut disk = reopen_read_only(&arena, "readonly");
     let len = disk.len();
 
     assert_eq!(

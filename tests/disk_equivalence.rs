@@ -32,7 +32,7 @@ fn temp_pages(tag: &str) -> PathBuf {
 /// pool, grid and IWP rebuilt (so every scheme runs).
 fn reopen_disk(index: &NwcIndex, tag: &str) -> NwcIndex {
     let path = temp_pages(tag);
-    index.save_tree(&path).expect("save");
+    index.save_tree_writable(&path).expect("save");
     let disk = NwcIndex::open_disk(&path, DiskIndexConfig::default()).expect("open");
     std::fs::remove_file(&path).ok();
     disk
@@ -116,7 +116,7 @@ fn clustered_layout_and_readahead_keep_answers_and_logical_io_bit_identical() {
     let arena = NwcIndex::build(points);
     let path = temp_pages("clustered");
     arena
-        .save_tree_with_layout(&path, PageLayout::Clustered)
+        .save_tree_writable_with_layout(&path, PageLayout::Clustered)
         .expect("save clustered");
     let configs = [
         ("plain", DiskIndexConfig::default()),
@@ -168,6 +168,7 @@ fn clustered_layout_and_readahead_keep_answers_and_logical_io_bit_identical() {
         assert_eq!(pool.misses, io.node_reads(), "{tag}");
         assert_eq!(storage.physical_reads(), pool.misses, "{tag}");
         assert_eq!(io.prefetch_hits(), pool.prefetch_hits, "{tag}");
+        assert_eq!(pool.pinned, 0, "{tag}: query path leaked a pin");
         if config.prefetch == 0 {
             assert_eq!(io.prefetch_reads(), 0, "{tag}: no readahead configured");
         } else {
@@ -176,72 +177,6 @@ fn clustered_layout_and_readahead_keep_answers_and_logical_io_bit_identical() {
                 "{tag}: a 64-frame pool over this tree should prefetch"
             );
         }
-    }
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn overlapped_io_keeps_answers_and_logical_io_bit_identical() {
-    // The overlapped backend moves readahead onto completion threads;
-    // nothing about the answers or the logical I/O may change. Run the
-    // full Table-3 sweep at 1 and 4 I/O threads against the arena and a
-    // sync readahead open, on a cold pool each time.
-    let points = seeded_points(1500, 59);
-    let arena = NwcIndex::build(points);
-    let path = temp_pages("overlapped");
-    arena
-        .save_tree_with_layout(&path, PageLayout::Clustered)
-        .expect("save clustered");
-    for io_threads in [1usize, 4] {
-        let disk = NwcIndex::open_disk(
-            &path,
-            DiskIndexConfig {
-                pool_capacity: Some(64),
-                pool_shards: Some(2),
-                prefetch: 16,
-                io_threads,
-                ..DiskIndexConfig::default()
-            },
-        )
-        .expect("open overlapped");
-        let storage = disk.tree().storage().expect("disk-backed");
-        assert_eq!(storage.io_threads(), io_threads);
-        let queries = Dataset::query_points(4, 59);
-        for scheme in Scheme::TABLE3 {
-            for (qi, &q) in queries.iter().enumerate() {
-                let query = NwcQuery::new(q, WindowSpec::square(70.0), 4);
-                let (ra, sa) = arena.nwc_full(&query, scheme);
-                let (rd, sd) = disk.nwc_full(&query, scheme);
-                match (&ra, &rd) {
-                    (None, None) => {}
-                    (Some(a), Some(d)) => {
-                        assert_eq!(a.ids(), d.ids(), "io{io_threads}/{scheme}/q{qi}");
-                        assert_eq!(a.distance, d.distance, "io{io_threads}/{scheme}/q{qi}");
-                    }
-                    _ => panic!("io{io_threads}/{scheme}/q{qi}: one mode found a result, one did not"),
-                }
-                assert_eq!(
-                    SearchStats { buffer_hits: 0, ..sd },
-                    sa,
-                    "io{io_threads}/{scheme}/q{qi}: logical stats diverge"
-                );
-            }
-        }
-        // Quiesce before inspecting counters: the logical decomposition
-        // must hold no matter which thread did the physical reads.
-        storage.wait_io_idle();
-        let io = disk.tree().stats();
-        let pool = storage.pool_stats();
-        assert_eq!(pool.hits, io.buffer_hits(), "io{io_threads}");
-        assert_eq!(pool.misses, io.node_reads(), "io{io_threads}");
-        assert_eq!(storage.physical_reads(), pool.misses, "io{io_threads}");
-        assert_eq!(io.prefetch_hits(), pool.prefetch_hits, "io{io_threads}");
-        assert_eq!(pool.pinned, 0, "io{io_threads}: query path leaked a pin");
-        assert!(
-            io.prefetch_reads() > 0,
-            "io{io_threads}: overlapped readahead never ran"
-        );
-        assert_eq!(io.prefetch_errors(), 0, "io{io_threads}: healthy store");
     }
     std::fs::remove_file(&path).ok();
 }
@@ -406,7 +341,7 @@ fn roundtrip_empty_tree() {
 fn roundtrip_empty_tree_on_disk_but_index_rejects_it() {
     let tree = RStarTree::new();
     let path = temp_pages("empty");
-    tree.save_to_path(&path).unwrap();
+    tree.save_to_path_writable(&path).unwrap();
     let back = RStarTree::open_from_path(&path, None).unwrap();
     assert!(back.is_empty());
     // Release the advisory lock before reopening the same file.
@@ -532,7 +467,7 @@ fn on_disk_bit_flip_truncation_and_garbage_rejected() {
     let points = seeded_points(500, 5);
     let tree = RStarTree::bulk_load(&points);
     let path = temp_pages("corrupt");
-    tree.save_to_path(&path).unwrap();
+    tree.save_to_path_writable(&path).unwrap();
 
     // Flip one data byte: the per-page checksum catches it at open.
     let mut bytes = std::fs::read(&path).unwrap();
@@ -559,5 +494,61 @@ fn on_disk_bit_flip_truncation_and_garbage_rejected() {
         Err(DiskError::Store(StoreError::BadMagic)) => {}
         other => panic!("expected BadMagic, got {:?}", other.err()),
     }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn version_one_page_file_is_a_typed_open_error() {
+    // Older builds wrote read-only version-1 files: a header page
+    // (magic, version 1, page size, count, root, user words, table CRC,
+    // header CRC over bytes 0..60), a central checksum-table page, then
+    // the data pages. This build refuses them with a typed error that
+    // says to rebuild, and never misreads one as a damaged version-2
+    // file.
+    let tree = RStarTree::bulk_load(&seeded_points(300, 3));
+    let file = tree.to_page_file();
+    let count = file.page_count();
+    let mut table = vec![0u8; 4096];
+    for i in 0..count {
+        let crc = nwc::store::crc32(file.page(i as u32));
+        table[i * 4..i * 4 + 4].copy_from_slice(&crc.to_le_bytes());
+    }
+    let mut header = vec![0u8; 4096];
+    header[0..8].copy_from_slice(b"NWCPAGE\x01");
+    header[8..12].copy_from_slice(&1u32.to_le_bytes());
+    header[12..16].copy_from_slice(&4096u32.to_le_bytes());
+    header[16..20].copy_from_slice(&(count as u32).to_le_bytes());
+    header[20..24].copy_from_slice(&file.root_page().to_le_bytes());
+    let params = tree.params();
+    let user = [
+        params.max_entries,
+        params.min_entries,
+        params.reinsert_count,
+        tree.len(),
+    ];
+    for (i, w) in user.into_iter().enumerate() {
+        header[24 + i * 8..32 + i * 8].copy_from_slice(&(w as u64).to_le_bytes());
+    }
+    header[56..60].copy_from_slice(&nwc::store::crc32(&table).to_le_bytes());
+    let header_crc = nwc::store::crc32(&header[0..60]);
+    header[60..64].copy_from_slice(&header_crc.to_le_bytes());
+    let mut bytes = header;
+    bytes.extend_from_slice(&table);
+    for i in 0..count {
+        bytes.extend_from_slice(file.page(i as u32));
+    }
+    let path = temp_pages("v1");
+    std::fs::write(&path, &bytes).unwrap();
+
+    match NwcIndex::open_disk(&path, DiskIndexConfig::default()) {
+        Err(IndexOpenError::Disk(DiskError::Store(StoreError::BadVersion(1)))) => {}
+        Err(other) => panic!("expected BadVersion(1), got {other}"),
+        Ok(_) => panic!("a version-1 file must not open"),
+    }
+    let msg = IndexOpenError::Disk(DiskError::Store(StoreError::BadVersion(1))).to_string();
+    assert!(msg.contains("version 1"), "{msg}");
+    assert!(msg.contains("save it again"), "{msg}");
+    // The refused open left the file as it was.
+    assert_eq!(std::fs::read(&path).unwrap(), bytes);
     std::fs::remove_file(&path).ok();
 }

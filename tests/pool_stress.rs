@@ -30,7 +30,7 @@ fn concurrent_engine_batches_on_a_shared_disk_tree_stay_consistent() {
     let arena = NwcIndex::build(points);
     let path = temp_pages("engine");
     arena
-        .save_tree_with_layout(&path, PageLayout::Clustered)
+        .save_tree_writable_with_layout(&path, PageLayout::Clustered)
         .expect("save clustered");
     let disk = NwcIndex::open_disk(
         &path,
@@ -131,7 +131,7 @@ fn pool_survives_mid_descent_faults_under_concurrency() {
     let arena = NwcIndex::build(stress_points(6_000));
     let path = temp_pages("faulted");
     arena
-        .save_tree_with_layout(&path, PageLayout::Clustered)
+        .save_tree_writable_with_layout(&path, PageLayout::Clustered)
         .expect("save clustered");
     let fault = Arc::new(FaultStore::new(
         FileStore::open(&path).expect("reopen page file"),

@@ -46,7 +46,7 @@ fn region_points(count: usize, lo: f64, hi: f64, seed: u64) -> Vec<Point> {
 fn save_region(tag: &str, lo: f64, hi: f64, seed: u64) -> PathBuf {
     let path = temp_pages(tag);
     NwcIndex::build(region_points(4_000, lo, hi, seed))
-        .save_tree(&path)
+        .save_tree_writable(&path)
         .expect("saving page file");
     path
 }

@@ -129,7 +129,7 @@ fn sharded_matches_single_tree_on_disk_backends() {
     for shards in [1usize, 2, 4] {
         let built = ShardedNwcIndex::build(points.clone(), shards);
         let dir = temp_dir(&format!("disk-k{shards}"));
-        built.save_to_dir(&dir).expect("save sharded dir");
+        built.save_to_dir_writable(&dir).expect("save sharded dir");
         // One *total* pool budget split across the shard pools.
         let disk = ShardedNwcIndex::open_dir(
             &dir,
@@ -407,7 +407,7 @@ fn fault_backed_sharded(
     let mut fault = None;
     for (i, shard) in built.shards().iter().enumerate() {
         let path = dir.join(format!("shard-{i}.pages"));
-        shard.save_tree(&path).expect("save shard");
+        shard.save_tree_writable(&path).expect("save shard");
         if i == 0 {
             let store = FileStore::open(&path).expect("reopen shard 0");
             let f = Arc::new(FaultStore::new(store, FaultPlan::default()));
