@@ -340,7 +340,7 @@ impl NwcIndex {
                         &entry,
                         quad,
                         neighbors,
-                        &mut scratch.by_dist,
+                        &mut scratch.scan,
                         sink,
                         &mut stats,
                     );
@@ -487,11 +487,12 @@ pub(crate) fn canonical_less(
     }
 }
 
-/// Sorted object ids of a candidate group (set identity, tie-break key).
-pub(crate) fn sorted_ids(group: &[Entry]) -> Vec<u32> {
-    let mut ids: Vec<u32> = group.iter().map(|e| e.id).collect();
+/// Sorted object ids of a candidate group (set identity, tie-break key),
+/// written into `ids`.
+pub(crate) fn sorted_ids_into(group: &[Entry], ids: &mut Vec<u32>) {
+    ids.clear();
+    ids.extend(group.iter().map(|e| e.id));
     ids.sort_unstable();
-    ids
 }
 
 /// Sink keeping the single best group (`objs` / `dist_best` of the
@@ -503,6 +504,8 @@ pub(crate) struct BestSink {
     pub(crate) best: Option<(Vec<Entry>, Rect)>,
     /// Sorted ids of `best` (canonical tie-break key).
     pub(crate) best_ids: Vec<u32>,
+    /// Sorted ids of a tied offer, compared against `best_ids`.
+    tie_ids: Vec<u32>,
     /// Pruning-threshold factor `1/(1+ε)`; `1.0` = exact. Only the
     /// threshold shrinks — acceptance in `offer` stays exact, so the
     /// sink always holds the best group actually *seen*.
@@ -519,6 +522,7 @@ impl BestSink {
             dist_best: f64::INFINITY,
             best: None,
             best_ids: Vec::new(),
+            tie_ids: Vec::new(),
             shrink,
         }
     }
@@ -529,16 +533,22 @@ impl GroupSink for BestSink {
         tie_inclusive(self.dist_best * self.shrink)
     }
 
-    fn offer(&mut self, group: Vec<Entry>, score: f64, window: Rect, stats: &mut SearchStats) {
+    /// A worse score is never taken; an equal one may win the tie-break.
+    fn admits(&self, score: f64) -> bool {
+        score <= self.dist_best
+    }
+
+    fn offer(&mut self, group: &[Entry], score: f64, window: Rect, stats: &mut SearchStats) {
         let take = if score < self.dist_best {
+            sorted_ids_into(group, &mut self.best_ids);
             true
         } else if score == self.dist_best {
             match &self.best {
                 Some((_, win)) => {
-                    let ids = sorted_ids(&group);
-                    let better = canonical_less(&ids, &window, &self.best_ids, win);
+                    sorted_ids_into(group, &mut self.tie_ids);
+                    let better = canonical_less(&self.tie_ids, &window, &self.best_ids, win);
                     if better {
-                        self.best_ids = ids;
+                        std::mem::swap(&mut self.best_ids, &mut self.tie_ids);
                     }
                     better
                 }
@@ -548,11 +558,16 @@ impl GroupSink for BestSink {
             false
         };
         if take {
-            if score < self.dist_best {
-                self.best_ids = sorted_ids(&group);
-            }
             self.dist_best = score;
-            self.best = Some((group, window));
+            match &mut self.best {
+                // Reuse the kept group's storage.
+                Some((objects, win)) => {
+                    objects.clear();
+                    objects.extend_from_slice(group);
+                    *win = window;
+                }
+                None => self.best = Some((group.to_vec(), window)),
+            }
             stats.best_updates += 1;
         }
     }

@@ -63,13 +63,13 @@ impl GroupSink for ConstrainedSink {
         self.dist_best
     }
 
-    fn offer(&mut self, group: Vec<Entry>, score: f64, window: Rect, stats: &mut SearchStats) {
+    fn offer(&mut self, group: &[Entry], score: f64, window: Rect, stats: &mut SearchStats) {
         if !group.iter().all(|e| self.region.contains_point(&e.point)) {
             return;
         }
         if score < self.dist_best {
             self.dist_best = score;
-            self.best = Some((group, window));
+            self.best = Some((group.to_vec(), window));
             stats.best_updates += 1;
         }
     }

@@ -228,6 +228,7 @@ impl NwcIndex {
             k: query.k,
             m: query.m,
             groups: Vec::with_capacity(query.k),
+            idbuf: Vec::new(),
         };
         let stats = self.run_search(&query.base, scheme, &mut sink);
         KnwcResult {
@@ -364,24 +365,32 @@ impl GroupsCore {
         }
     }
 
-    /// Offers one candidate group. `idbuf` is the caller's reusable
-    /// sorted-id buffer (left holding the group's sorted ids).
+    /// Whether [`GroupsCore::offer_group`] could act on `score`: with
+    /// pruning on and k groups selected, a score strictly beyond the
+    /// k-th cannot affect the greedy selection; exact ties enter the
+    /// buffer so the canonical order decides.
+    pub(crate) fn admits(&self, score: f64) -> bool {
+        if self.prune && self.selected.len() == self.k {
+            let kth = self.buffer[*self.selected.last().unwrap()].score;
+            score.partial_cmp(&kth) != Some(std::cmp::Ordering::Greater)
+        } else {
+            true
+        }
+    }
+
+    /// Offers one candidate group, copying it only if it is kept.
+    /// `idbuf` is the caller's reusable sorted-id buffer (left holding
+    /// the group's sorted ids).
     pub(crate) fn offer_group(
         &mut self,
-        group: Vec<Entry>,
+        group: &[Entry],
         score: f64,
         window: Rect,
         idbuf: &mut Vec<ObjectId>,
         stats: &mut SearchStats,
     ) {
-        // Fast reject: strictly beyond the k-th score cannot affect the
-        // greedy selection; exact ties enter the buffer so the canonical
-        // order decides.
-        if self.prune && self.selected.len() == self.k {
-            let kth = self.buffer[*self.selected.last().unwrap()].score;
-            if score > kth {
-                return;
-            }
+        if !self.admits(score) {
+            return;
         }
         // Build the sorted id set in the reused buffer; only clone it
         // into owned storage when the group is actually kept.
@@ -398,7 +407,8 @@ impl GroupsCore {
         if let Some(g) = self.buffer.get_mut(pos) {
             if g.ids == *idbuf {
                 if crate::algo::canonical_less(idbuf, &window, &g.ids, &g.window) {
-                    g.entries = group;
+                    g.entries.clear();
+                    g.entries.extend_from_slice(group);
                     g.window = window;
                 }
                 return;
@@ -408,7 +418,7 @@ impl GroupsCore {
             pos,
             StoredGroup {
                 ids: idbuf.clone(),
-                entries: group,
+                entries: group.to_vec(),
                 score,
                 window,
             },
@@ -434,11 +444,11 @@ impl GroupsCore {
 }
 
 /// Sink maintaining the greedy top-k selection over all offered groups.
-struct GroupsSink {
-    core: GroupsCore,
+pub(crate) struct GroupsSink {
+    pub(crate) core: GroupsCore,
     /// Reused sorted-id buffer: duplicate offers (the common case near a
     /// hot window) are rejected without allocating.
-    idbuf: Vec<ObjectId>,
+    pub(crate) idbuf: Vec<ObjectId>,
 }
 
 impl GroupSink for GroupsSink {
@@ -446,7 +456,11 @@ impl GroupSink for GroupsSink {
         self.core.threshold()
     }
 
-    fn offer(&mut self, group: Vec<Entry>, score: f64, window: Rect, stats: &mut SearchStats) {
+    fn admits(&self, score: f64) -> bool {
+        self.core.admits(score)
+    }
+
+    fn offer(&mut self, group: &[Entry], score: f64, window: Rect, stats: &mut SearchStats) {
         self.core.offer_group(group, score, window, &mut self.idbuf, stats);
     }
 }
@@ -456,6 +470,8 @@ struct PaperStepsSink {
     k: usize,
     m: usize,
     groups: Vec<StoredGroup>, // ascending by score
+    /// Reused sorted-id buffer; cloned only for an inserted group.
+    idbuf: Vec<ObjectId>,
 }
 
 impl GroupSink for PaperStepsSink {
@@ -467,14 +483,14 @@ impl GroupSink for PaperStepsSink {
         }
     }
 
-    fn offer(&mut self, group: Vec<Entry>, score: f64, window: Rect, stats: &mut SearchStats) {
+    fn offer(&mut self, group: &[Entry], score: f64, window: Rect, stats: &mut SearchStats) {
         // Step 2 (i = k case): all k groups are closer — drop.
         if self.groups.len() == self.k && self.groups.last().is_some_and(|g| g.score <= score) {
             return;
         }
-        let mut ids: Vec<ObjectId> = group.iter().map(|e| e.id).collect();
-        ids.sort_unstable();
-        if self.groups.iter().any(|g| g.ids == ids) {
+        let ids = &mut self.idbuf;
+        crate::algo::sorted_ids_into(group, ids);
+        if self.groups.iter().any(|g| g.ids == *ids) {
             return; // identical set rediscovered
         }
         // Step 2: i = number of strictly closer groups.
@@ -482,7 +498,7 @@ impl GroupSink for PaperStepsSink {
         // Step 3: compatibility with every closer group.
         if self.groups[..i]
             .iter()
-            .any(|g| overlap_count(&g.ids, &ids) > self.m)
+            .any(|g| overlap_count(&g.ids, ids) > self.m)
         {
             return;
         }
@@ -493,17 +509,16 @@ impl GroupSink for PaperStepsSink {
         self.groups.insert(
             i,
             StoredGroup {
-                ids,
-                entries: group,
+                ids: ids.clone(),
+                entries: group.to_vec(),
                 score,
                 window,
             },
         );
         // Step 5: drop farther groups that conflict with the newcomer.
-        let new_ids = self.groups[i].ids.clone();
         let mut j = i + 1;
         while j < self.groups.len() {
-            if overlap_count(&self.groups[j].ids, &new_ids) > self.m {
+            if overlap_count(&self.groups[j].ids, &self.groups[i].ids) > self.m {
                 self.groups.remove(j);
             } else {
                 j += 1;
@@ -544,6 +559,21 @@ mod tests {
             }
         }
         pts
+    }
+
+    #[test]
+    fn admits_ties_with_the_kth_score_and_nothing_beyond() {
+        let group = [Entry::new(7, pt(1.0, 1.0))];
+        let window = Rect::new(pt(0.0, 0.0), pt(2.0, 2.0));
+        let mut stats = SearchStats::default();
+        for prune in [true, false] {
+            let mut core = GroupsCore::new(1, 0, prune);
+            assert!(core.admits(f64::INFINITY), "fewer than k groups");
+            core.offer_group(&group, 5.0, window, &mut Vec::new(), &mut stats);
+            // An exact tie can still win the canonical tie-break.
+            assert!(core.admits(5.0));
+            assert_eq!(core.admits(f64::from_bits(5.0f64.to_bits() + 1)), !prune);
+        }
     }
 
     #[test]

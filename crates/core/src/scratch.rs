@@ -1,11 +1,12 @@
 //! Reusable per-query working memory.
 //!
 //! A single NWC search allocates in four places: the best-first frontier
-//! heap, the window-query neighbor buffer, the per-object distance
-//! ranking built by the candidate scan, and (for kNWC) the sorted id
-//! buffer used to check group identity. All four are sized by the data
-//! around the query, not by the answer, so across a query workload the
-//! same few buffers are allocated and dropped thousands of times.
+//! heap, the window-query neighbor buffer, the candidate scan's
+//! per-object distance ranking and group selection buffers, and (for
+//! kNWC) the sorted id buffer used to check group identity. All four are
+//! sized by the data around the query, not by the answer, so across a
+//! query workload the same few buffers are allocated and dropped
+//! thousands of times.
 //!
 //! [`QueryScratch`] owns all of them. Thread one through the `*_with`
 //! query variants ([`NwcIndex::nwc_with`](crate::NwcIndex::nwc_with),
@@ -20,6 +21,7 @@
 //! changes results or I/O counts, which `tests/engine_equivalence.rs`
 //! asserts across every scheme.
 
+use crate::candidates::ScanBuffers;
 use nwc_rtree::{BrowserScratch, Entry, ObjectId};
 
 /// Reusable buffers for the NWC/kNWC query hot path. See the module
@@ -31,8 +33,8 @@ pub struct QueryScratch {
     pub(crate) browser: BrowserScratch,
     /// Window-query results for the object currently being scanned.
     pub(crate) neighbors: Vec<Entry>,
-    /// Distance ranking `(dist², id, entry)` of the current neighbors.
-    pub(crate) by_dist: Vec<(f64, u32, Entry)>,
+    /// The candidate scan's distance ranking and group buffers.
+    pub(crate) scan: ScanBuffers,
     /// Sorted object-id buffer for group set-identity checks (kNWC).
     pub(crate) ids: Vec<ObjectId>,
 }
@@ -49,7 +51,7 @@ impl QueryScratch {
     pub fn retained_capacity(&self) -> usize {
         self.browser.heap_capacity()
             + self.neighbors.capacity()
-            + self.by_dist.capacity()
+            + self.scan.capacity()
             + self.ids.capacity()
     }
 }

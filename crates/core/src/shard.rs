@@ -1434,7 +1434,7 @@ fn shard_search<S: GroupSink>(
                     &entry,
                     quad,
                     neighbors,
-                    &mut scratch.by_dist,
+                    &mut scratch.scan,
                     sink,
                     &mut stats,
                 );
@@ -1549,11 +1549,13 @@ struct SharedBestSink<'a> {
 }
 
 impl GroupSink for SharedBestSink<'_> {
+    const SHARED: bool = true;
+
     fn threshold(&self) -> f64 {
         tie_inclusive(f64::from_bits(self.bound.load(Ordering::Acquire)) * self.shrink)
     }
 
-    fn offer(&mut self, group: Vec<Entry>, score: f64, window: Rect, stats: &mut SearchStats) {
+    fn offer(&mut self, group: &[Entry], score: f64, window: Rect, stats: &mut SearchStats) {
         if score >= 0.0 {
             // Non-negative f64 bit patterns order like the values.
             self.bound.fetch_min(score.to_bits(), Ordering::AcqRel);
@@ -1574,11 +1576,13 @@ struct SharedGroupsSink<'a> {
 }
 
 impl GroupSink for SharedGroupsSink<'_> {
+    const SHARED: bool = true;
+
     fn threshold(&self) -> f64 {
         f64::from_bits(self.cached.load(Ordering::Acquire))
     }
 
-    fn offer(&mut self, group: Vec<Entry>, score: f64, window: Rect, stats: &mut SearchStats) {
+    fn offer(&mut self, group: &[Entry], score: f64, window: Rect, stats: &mut SearchStats) {
         let mut core = match self.core.lock() {
             Ok(guard) => guard,
             // The buffer has no invariant a poisoned unwind can break

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Repo verification gate: tier-1 build+test, lint wall, benchmark
-# adapter tests, experiment smokes.
+# Repo verification gate: tier-1 build+test, workspace tests, lint
+# wall, benchmark adapter tests, experiment smokes.
 #
 #   scripts/verify.sh          # full gate (~a few minutes on 1 core)
-#   SKIP_SMOKE=1 scripts/verify.sh   # build+test+clippy+perfbench only
+#   SKIP_SMOKE=1 scripts/verify.sh   # build+tests+clippy+perfbench only
 #
 # The experiment smokes run with target/smoke/ as their working
 # directory, so their tiny-scale results/BENCH_*.json land in
@@ -22,8 +22,14 @@ cargo build --release
 step "tier-1: cargo test -q"
 cargo test -q
 
-step "lint: cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+# The root `cargo test` covers only the `nwc` facade package; the crate
+# unit tests (candidate scan, sinks, storage, serving) live in the
+# workspace members.
+step "workspace: cargo test -q --workspace"
+cargo test -q --workspace
+
+step "lint: cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 # The benchmark drives the library only through perfbench's adapter,
 # so a library change that breaks it must fail here rather than in the

@@ -108,6 +108,42 @@ proptest! {
     }
 
     #[test]
+    fn pruned_knwc_keeps_what_pruning_guarantees((points, q, size, n, k, m) in scenario()) {
+        // The pruned kNWC is not always the greedy Definition-3 answer
+        // (see the nwc_core::knwc module docs), but pruning by the k-th
+        // score guarantees this much against the unpruned search, under
+        // every measure and scheme.
+        prop_assume!(m < n);
+        let index = NwcIndex::build(points.clone());
+        for measure in DistanceMeasure::ALL {
+            let query = KnwcQuery::try_new(q, WindowSpec::square(size), n, k, m, measure).unwrap();
+            for scheme in Scheme::TABLE3 {
+                let exact = index.knwc_exact(&query, scheme);
+                let pruned = index.knwc(&query, scheme);
+                let ctx = format!("{scheme} {measure:?}");
+                // An answer exactly when one exists, with the same first score.
+                prop_assert_eq!(pruned.groups.is_empty(), exact.groups.is_empty(), "{}", ctx);
+                if let (Some(p), Some(e)) = (pruned.groups.first(), exact.groups.first()) {
+                    prop_assert_eq!(p.distance.to_bits(), e.distance.to_bits(), "{}", ctx);
+                }
+                // At most k groups, in ascending score.
+                prop_assert!(pruned.groups.len() <= k, "{}", ctx);
+                let d: Vec<f64> = pruned.groups.iter().map(|g| g.distance).collect();
+                prop_assert!(d.windows(2).all(|w| w[0] <= w[1]), "{}: {:?}", ctx, d);
+                // Pairwise overlap at most m.
+                for a in 0..pruned.groups.len() {
+                    for b in a + 1..pruned.groups.len() {
+                        let ia = pruned.groups[a].id_set();
+                        let ib = pruned.groups[b].id_set();
+                        let shared = ia.iter().filter(|x| ib.binary_search(x).is_ok()).count();
+                        prop_assert!(shared <= m, "{}: groups {},{} share {}", ctx, a, b, shared);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn knwc_with_k1_equals_nwc((points, q, size, n, _k, m) in scenario()) {
         prop_assume!(m < n);
         let index = NwcIndex::build(points.clone());

@@ -2,7 +2,7 @@
 //! been warmed on a workload, `nwc_full_with` performs **zero** heap
 //! allocations for a query with no qualifying group (pure traversal +
 //! window queries + candidate scan), and a steady bounded number —
-//! only the offered result groups — for a query with a hit.
+//! only the groups the sink keeps — for an NWC or kNWC query with hits.
 //!
 //! Uses a counting global allocator, so everything runs inside one
 //! `#[test]` (parallel tests would pollute the counter).
@@ -100,5 +100,58 @@ fn warm_queries_do_not_allocate() {
     assert!(
         second <= 16,
         "warm hit query allocated {second} times; expected only offered groups"
+    );
+
+    // Offers borrow the scan's group buffer, so a warm hit allocates
+    // only for the groups it keeps: a steady count bounded by the sink's
+    // updates and the result, not by the qualified windows it scored.
+    // A dense jittered lattice makes most windows qualify.
+    let dense: Vec<Point> = (0..1600u64)
+        .map(|i| {
+            let jitter = |s: u64| (i.wrapping_mul(s) % 97) as f64 / 194.0;
+            Point::new(
+                (i % 40) as f64 + jitter(7919),
+                (i / 40) as f64 + jitter(104_729),
+            )
+        })
+        .collect();
+    let dense = NwcIndex::build(dense);
+    let spec = WindowSpec::square(3.0);
+    let hit = NwcQuery::new(Point::new(20.3, 20.7), spec, 6);
+    let knwc = KnwcQuery::new(Point::new(20.3, 20.7), spec, 6, 3, 2);
+    for _ in 0..3 {
+        dense.nwc_full_with(&hit, scheme, &mut scratch);
+        dense.knwc_with(&knwc, scheme, &mut scratch);
+    }
+    let mut counts = Vec::new();
+    for _ in 0..3 {
+        let before = allocs();
+        let (r, stats) = dense.nwc_full_with(&hit, scheme, &mut scratch);
+        let nwc_allocs = allocs() - before;
+        assert!(r.is_some());
+        // The kept group and its sorted ids, plus the tie-break ids.
+        assert!(
+            nwc_allocs <= stats.best_updates + 2,
+            "warm NWC* hit allocated {nwc_allocs} times for {} best updates",
+            stats.best_updates
+        );
+
+        let before = allocs();
+        let r = dense.knwc_with(&knwc, scheme, &mut scratch);
+        let knwc_allocs = allocs() - before;
+        assert_eq!(r.groups.len(), 3);
+        // Each kept group is copied once (ids and objects), the buffers
+        // holding them grow geometrically, the result copies the
+        // selection.
+        let kept = r.stats.best_updates + r.groups.len() as u64;
+        assert!(
+            knwc_allocs <= 3 * kept + 4,
+            "warm kNWC* query allocated {knwc_allocs} times for {kept} kept groups"
+        );
+        counts.push((nwc_allocs, knwc_allocs));
+    }
+    assert!(
+        counts.windows(2).all(|w| w[0] == w[1]),
+        "warm NWC* hit / kNWC* allocation counts not steady: {counts:?}"
     );
 }
